@@ -25,8 +25,10 @@ from .rng import SplitMix64
 from .robbers import GreedyRobber, OptimalRobber, RandomRobber
 from .solver import (
     DEFAULT_STATE_BUDGET,
+    DEFAULT_WORK_BUDGET,
     SolverBudgetError,
     cop_number,
+    estimate_solver_work,
     probe_conjecture,
     solve,
     verify_theorem_bound,
@@ -85,7 +87,14 @@ def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):
     if spec == "greedy":
         return GreedyRobber()
     if spec == "optimal":
-        table, _ = solve(g, t - 2, state_budget=budget)
+        k = t - 2
+        work = estimate_solver_work(g, k) if k >= 1 else 0  # solve rejects k < 1 itself
+        if work > DEFAULT_WORK_BUDGET:
+            raise ValueError(
+                f"optimal robber needs a solve with k={k} of ~{work} move enumerations "
+                f"(budget {DEFAULT_WORK_BUDGET})"
+            )
+        table, _ = solve(g, k, state_budget=budget)
         return OptimalRobber(table)
     if spec == "random":
         return RandomRobber(fallback_seed)
@@ -238,6 +247,17 @@ def cmd_copnumber(args: argparse.Namespace) -> int:
     return OK
 
 
+def _conjecture_status(t: int, cnum: int | None) -> str:
+    """probe_conjecture's verdict, read off a cop number already searched up to t-2.
+
+    The cop-number search solved every k <= t-3 under the same state budget,
+    so HOLDS iff cop_number <= t-3 is exact, and VIOLATED otherwise.
+    """
+    if t < 5:
+        return "UNKNOWN"
+    return "HOLDS" if cnum is not None and cnum <= t - 3 else "VIOLATED"
+
+
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
     passed = failed = unknown = 0
     for loc, g, err in _load_graphs(args.files):
@@ -260,7 +280,6 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
                 }
             )
             continue
-        status, _ = probe_conjecture(g, report.t, state_budget=args.budget)
         rec = {
             "type": "run",
             "graph": loc,
@@ -273,7 +292,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
             "strategy_capture_moves": report.strategy_capture_moves,
             "solver_capture_moves": report.solver_capture_moves,
             "theorem_pass": report.passed,
-            "conjecture_status": status,
+            "conjecture_status": _conjecture_status(report.t, report.cop_number),
         }
         if report.solver_skip_reason:
             rec["solver_skip_reason"] = report.solver_skip_reason
@@ -455,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
+        return ERROR
+    except Exception as exc:  # the exit-code contract holds for every input
+        _emit({"type": "error", "error": f"internal error: {type(exc).__name__}: {exc}"})
         return ERROR
 
 

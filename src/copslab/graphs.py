@@ -146,7 +146,8 @@ def shortest_path_within(
 #
 # Byte 0: n + 63.  Then ceil(n(n-1)/2 / 6) bytes, each encoding 6 bits of the
 # upper adjacency triangle in column order (0,1),(0,2),(1,2),(0,3),...; the
-# first bit of each group is the most significant of (byte - 63).
+# first bit of each group is the most significant of (byte - 63). The bits
+# after the last pair must be zero.
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
@@ -178,6 +179,9 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - 1 > nbytes:
         raise GraphFormatError("trailing data after graph6 adjacency bytes", offset=1 + nbytes)
+    padding = 6 * nbytes - nbits
+    if padding and (data[nbytes] - 63) & ((1 << padding) - 1):
+        raise GraphFormatError("nonzero padding bits in the last graph6 byte", offset=nbytes)
     edges = []
     k = 0
     for j in range(1, n):

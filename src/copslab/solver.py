@@ -1,23 +1,38 @@
 """Ground-truth game solving by retrograde analysis over the full state space.
 
-States are (sorted cop multiset, robber vertex, side to move); cops are
-interchangeable, which shrinks the space by up to k!. Values count plies
+The game's states are (sorted cop multiset, robber vertex, side to move); cops
+are interchangeable, which shrinks the space by up to k!. Values count plies
 (half-moves) until capture under optimal play from both sides; a missing
-entry after a completed solve means the robber survives forever. Backward
-induction runs as a BFS from the capture states, with per-state escape
-counters for robber-to-move states, so distance-to-mate comes out for free.
+value means the robber survives forever.
+
+The solve ranks the size-k cop multisets in `combinations_with_replacement`
+(lexicographic) order and builds each multiset's joint moves once, as a list
+of ranks. The robber dimension is a bitset: for each multiset T, `C[T]` holds
+the robber vertices already won with the cops to move and `R[T]` those won
+with the robber to move, both starting as the occupied vertices. Plies then
+alternate until one grows no mask:
+
+  cop ply     C[T] |= R[T'] for every T' one joint move from T
+  robber ply  R[T] |= {r : N[r] is inside C[T]}
+
+The first ply at which `C[T]` (or `R[T]`) holds r is the value of the state
+(T, r, cops to move) (or robber to move), and the ply at which `C[T]` becomes
+full is placement T's worst case. The per-state value dictionary is rebuilt
+from the recorded growth only when a caller asks for it.
 
 Reporting converts plies into "cop moves including the initial placement"
 (placement is cop move 1), the single currency shared with the engine and
-the path-hunting strategy. Large cop counts explode the joint-move
-enumeration: the solver only enforces the state budget, so callers gate on
+the path-hunting strategy. Large cop counts explode the joint-move lists:
+the solver only enforces the state budget, so callers gate on
 `estimate_solver_work` before committing to anything past k = 4 or so.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -45,16 +60,38 @@ class SolverBudgetError(RuntimeError):
         self.budget = budget
 
 
+# One ply's growth: (ply, cops_to_move, ranks of the multisets that grew, their masks after it).
+Growth = tuple[int, bool, Sequence[int], list[int]]
+
+
 @dataclass
 class SolverTable:
     """Value map: (sorted cop tuple, robber vertex, cops_to_move) -> plies to capture.
 
-    Missing keys are robber wins. States with the robber on a cop hold 0.
+    Missing keys are robber wins. States with the robber on a cop hold 0. The
+    map is built from the solve's growth record on first access.
     """
 
     k: int
     n: int
-    values: dict[tuple[tuple[int, ...], int, bool], int]
+    multisets: list[tuple[int, ...]] = field(repr=False)
+    growth: list[Growth] = field(repr=False)
+
+    @cached_property
+    def values(self) -> dict[tuple[tuple[int, ...], int, bool], int]:
+        out: dict[tuple[tuple[int, ...], int, bool], int] = {}
+        seen = {True: [0] * len(self.multisets), False: [0] * len(self.multisets)}
+        for ply, cops_to_move, ranks, masks in self.growth:
+            prev = seen[cops_to_move]
+            for T, mask in zip(ranks, masks):
+                new = mask & ~prev[T]
+                prev[T] = mask
+                cops = self.multisets[T]
+                while new:
+                    low = new & -new
+                    out[(cops, low.bit_length() - 1, cops_to_move)] = ply
+                    new ^= low
+        return out
 
     def value(self, cops, robber: int, cops_to_move: bool) -> int | None:
         return self.values.get((tuple(sorted(cops)), robber, cops_to_move))
@@ -107,6 +144,33 @@ def joint_cop_moves(g: Graph, cops: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _ranked_joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The size-k cop multisets in lexicographic order, and each one's joint moves as ranks.
+
+    joint(T) = {v + S : v in N[T[0]], S in joint(T[1:])}, built size by size;
+    an add-vertex table maps (rank of S among the size j-1 multisets, v) to
+    the rank of S + v among the size j multisets.
+    """
+    n = g.n
+    closed = [sorted(g.adj[v] | {v}) for v in range(n)]
+    multisets = [(v,) for v in range(n)]
+    moves = closed  # size 1: a multiset's rank is its vertex
+    for j in range(2, k + 1):
+        shorter, shorter_moves = multisets, moves
+        multisets = list(combinations_with_replacement(range(n), j))
+        rank = {T: i for i, T in enumerate(multisets)}
+        add = [[rank[tuple(sorted(S + (v,)))] for S in shorter] for v in range(n)]
+        moves = []
+        for a in range(n):
+            rows = [add[v] for v in closed[a]]
+            # The tails of the multisets with head a are the shorter multisets
+            # with minimum >= a: the last C(n-a+j-2, j-1) of them, in order.
+            first = len(shorter) - comb(n - a + j - 2, j - 1)
+            for tail_moves in shorter_moves[first:]:
+                moves.append(list({row[s] for row in rows for s in tail_moves}))
+    return multisets, moves
+
+
 def solve(
     g: Graph, k: int, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[SolverTable, SolveResult]:
@@ -125,83 +189,85 @@ def solve(
     if required > state_budget:
         raise SolverBudgetError(required, state_budget)
 
-    cop_tuples = list(combinations_with_replacement(range(n), k))
-    values: dict[tuple[tuple[int, ...], int, bool], int] = {}
-    pending: dict[tuple[tuple[int, ...], int], int] = {}
-    queue: deque[tuple[tuple[int, ...], int, bool]] = deque()
+    multisets, moves = _ranked_joint_moves(g, k)
+    ranks = range(len(multisets))
+    full = (1 << n) - 1
+    reach = [(1 << v) | sum(1 << u for u in g.adj[v]) for v in range(n)]  # N[v] as a bitmask
+    occ = []
+    C = []  # ply 1: every cop stays or steps, so the cops cover N[T]
+    for T in multisets:
+        o = c = 0
+        for v in T:
+            o |= 1 << v
+            c |= reach[v]
+        occ.append(o)
+        C.append(c)
+    R = occ[:]
+    growth: list[Growth] = [(0, True, ranks, occ), (0, False, ranks, occ)]
+    best = (0, occ.index(full)) if full in occ else None  # (ply, rank) of the first full C[T]
+    trapped: dict[int, int] = {}  # C mask -> robber vertices whose closed neighbourhood it holds
+    before = occ
+    ply = 1
+    while True:
+        cops_grown = [T for T in ranks if C[T] != before[T]]
+        if not cops_grown:
+            break
+        masks = [C[T] for T in cops_grown]
+        growth.append((ply, True, cops_grown, masks))
+        if best is None and full in masks:
+            best = (ply, cops_grown[masks.index(full)])
 
-    for T in cop_tuples:
-        occupied = set(T)
-        for r in range(n):
-            if r in occupied:
-                values[(T, r, True)] = 0
-                values[(T, r, False)] = 0
-                queue.append((T, r, True))
-                queue.append((T, r, False))
-            else:
-                # escapes left for the robber-to-move state (T, r)
-                pending[(T, r)] = g.degree(r) + 1
+        ply += 1  # the robber moves
+        robber_grown = []
+        for T in cops_grown:
+            c = C[T]
+            won = trapped.get(c)
+            if won is None:
+                free = full ^ c
+                near = 0
+                while free:
+                    low = free & -free
+                    near |= reach[low.bit_length() - 1]
+                    free ^= low
+                won = trapped[c] = full ^ near
+            r = R[T]
+            if r | won != r:
+                R[T] = r | won
+                robber_grown.append(T)
+        if not robber_grown:
+            break
+        growth.append((ply, False, robber_grown, [R[T] for T in robber_grown]))
 
-    moves_cache: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        ply += 1  # the cops move
+        before = C[:]
+        for T2 in robber_grown:
+            m = R[T2]
+            for T in moves[T2]:
+                C[T] |= m
 
-    while queue:
-        state = queue.popleft()
-        T, r, cops_to_move = state
-        m = values[state]
-        if cops_to_move:
-            # Predecessors: robber-to-move states that could step into this one.
-            for r_prev in (r, *g.adj[r]):
-                key = (T, r_prev)
-                cnt = pending.get(key)
-                if cnt is None:
-                    continue
-                if cnt == 1:
-                    del pending[key]
-                    values[(T, r_prev, False)] = m + 1
-                    queue.append((T, r_prev, False))
-                else:
-                    pending[key] = cnt - 1
-        else:
-            # Predecessors: cops-to-move states one joint move away (the
-            # stay-or-step relation on sorted multisets is symmetric).
-            moves = moves_cache.get(T)
-            if moves is None:
-                moves = joint_cop_moves(g, T)
-                moves_cache[T] = moves
-            for T_prev in moves:
-                key = (T_prev, r, True)
-                if key not in values:
-                    values[key] = m + 1
-                    queue.append(key)
-
-    table = SolverTable(k=k, n=n, values=values)
-
-    best_T = None
-    best_worst = None
-    for T in cop_tuples:
-        worst = 0
-        for r in range(n):
-            m = values.get((T, r, True))
-            if m is None:
-                worst = None
-                break
-            worst = max(worst, m)
-        if worst is not None and (best_worst is None or worst < best_worst):
-            best_worst = worst
-            best_T = T  # lex iteration: first minimum is the smallest tuple
-    if best_T is None:
+    table = SolverTable(k=k, n=n, multisets=multisets, growth=growth)
+    if best is None:
         return table, SolveResult(False, None, None)
-    return table, SolveResult(True, 1 + (best_worst + 1) // 2, best_T)
+    best_ply, best_T = best
+    return table, SolveResult(True, 1 + (best_ply + 1) // 2, multisets[best_T])
 
 
 def cop_number(
-    g: Graph, k_max: int, state_budget: int = DEFAULT_STATE_BUDGET
+    g: Graph,
+    k_max: int,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+    results: dict[int, SolveResult] | None = None,
 ) -> int | None:
-    """Smallest k <= k_max with a cop win, or None meaning "> k_max"."""
+    """Smallest k <= k_max with a cop win, or None meaning "> k_max".
+
+    When `results` is given, each solved k's SolveResult is stored in it.
+    """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     for k in range(1, k_max + 1):
         _, result = solve(g, k, state_budget)
+        if results is not None:
+            results[k] = result
         if result.cop_win:
             return k
     return None
@@ -308,7 +374,8 @@ def verify_theorem_bound(
     lip, _ = longest_induced_path_order(g)
     t = max(lip + 1, 3)
     k = t - 2
-    cnum = cop_number(g, k_max=k, state_budget=state_budget)
+    solved: dict[int, SolveResult] = {}
+    cnum = cop_number(g, k_max=k, state_budget=state_budget, results=solved)
     analysis = analyze_strategy(g, t)
     strategy_moves = analysis.max_cop_moves
     check_b = analysis.captured_all and strategy_moves is not None and strategy_moves <= t - 1
@@ -322,7 +389,7 @@ def verify_theorem_bound(
     elif state_space_size(g.n, k) > state_budget:
         skip_reason = f"solve with k={k} exceeds the state budget"
     else:
-        _, result = solve(g, k, state_budget)
+        result = solved[k] if k in solved else solve(g, k, state_budget)[1]
         solver_moves = result.optimal_capture_cop_moves
         check_c = (
             result.cop_win

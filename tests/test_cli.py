@@ -3,13 +3,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from copslab.cli import main
-from copslab.generators import cycle_graph, path_graph
-from copslab.graphs import encode_graph6
+from copslab.cli import _conjecture_status, main
+from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
+from copslab.graphs import encode_graph6, format_edge_list
 from copslab.induced import verify_induced_path
+from copslab.solver import probe_conjecture
 
 from conftest import cli_env
 
@@ -126,6 +128,17 @@ class TestSimulate:
         rc, records = run_cli(capsys, "simulate", c5_file, "--t", "2")
         assert rc == 2
 
+    def test_optimal_robber_over_work_budget_exit_two(self, capsys, tmp_path):
+        # the k=7 solve would need ~1.36e11 move enumerations against a 1e7 budget
+        assert main(["gen", "gnp", "12", "0.5", "--seed", "3"]) == 0
+        path = tmp_path / "g.g6"
+        path.write_text(capsys.readouterr().out)
+        start = time.perf_counter()
+        rc, records = run_cli(capsys, "simulate", str(path), "--t", "9", "--robber", "optimal")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert records[-1]["type"] == "error" and "budget" in records[-1]["error"]
+
 
 class TestSolveAndCopnumber:
     def test_solve_record(self, capsys, c5_file):
@@ -178,6 +191,24 @@ class TestVerifyTheorem:
     def test_budget_unknown_strict_one(self, capsys, c5_file):
         rc, _ = run_cli(capsys, "verify-theorem", c5_file, "--budget", "10", "--strict")
         assert rc == 1
+
+    def test_conjecture_status_matches_probe(self, capsys, tmp_path):
+        graphs = [cycle_graph(5), path_graph(6), petersen_graph(), complete_graph(4)]
+        path = tmp_path / "mixed.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        rc, records = run_cli(capsys, "verify-theorem", str(path))
+        assert rc == 0
+        runs = [r for r in records if r["type"] == "run"]
+        assert [r["conjecture_status"] for r in runs] == [
+            probe_conjecture(g, r["t"])[0] for g, r in zip(graphs, runs)
+        ]
+
+    @pytest.mark.parametrize(
+        "t,cnum,status",
+        [(4, 1, "UNKNOWN"), (5, 2, "HOLDS"), (6, 3, "HOLDS"), (6, 4, "VIOLATED"), (7, None, "VIOLATED")],
+    )
+    def test_conjecture_status_from_cop_number(self, t, cnum, status):
+        assert _conjecture_status(t, cnum) == status
 
     def test_disconnected_graph_marked_unknown(self, capsys, tmp_path):
         path = tmp_path / "disc.g6"
@@ -234,6 +265,22 @@ class TestGen:
         path.write_text(out)
         rc, records = run_cli(capsys, "lip", str(path))
         assert rc == 0 and records[0]["lip_order"] == 70
+
+
+class TestUncaughtErrors:
+    def test_deep_recursion_is_an_error_record(self, tmp_path):
+        # the recursive induced-path search overflows the stack on P_1500
+        path = tmp_path / "p1500.edges"
+        path.write_text(format_edge_list(path_graph(1500)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "copslab.cli", "lip", str(path)],
+            capture_output=True, text=True, env=cli_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert records == [{"type": "error", "error": records[0]["error"]}]
+        assert "RecursionError" in records[0]["error"]
 
 
 class TestByteDeterminism:

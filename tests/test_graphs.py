@@ -226,6 +226,13 @@ class TestGraph6:
         with pytest.raises(GraphFormatError, match="trailing"):
             parse_graph6("A__")
 
+    def test_nonzero_padding_rejected(self):
+        # n=3 uses 3 of the 6 bits: "w" pads with 000, "~" with 111
+        assert parse_graph6("Bw") == Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(GraphFormatError, match="padding") as info:
+            parse_graph6("B~")
+        assert info.value.offset == 1
+
     def test_long_form_rejected(self):
         with pytest.raises(GraphFormatError, match="long-form"):
             parse_graph6("~??")

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from copslab.corpus import tree_corpus
+import copslab.solver as solver_module
+from copslab.corpus import theorem_corpus, tree_corpus
 from copslab.generators import (
     complete_graph,
     cycle_graph,
@@ -21,6 +22,8 @@ from copslab.solver import (
     state_space_size,
     verify_theorem_bound,
 )
+
+from reference_solver import reference_solve
 
 
 class TestSolveKnownValues:
@@ -114,6 +117,53 @@ class TestMonotonicityAndAudit:
                 assert values.get((T, r, False)) == expect
 
 
+CORPUS = theorem_corpus(random_count=200)
+
+
+def dismantlable(g) -> bool:
+    """Nowakowski-Winkler / Quilliot: one cop wins iff dominated vertices peel the graph away.
+
+    u is dominated when N[u] lies inside N[v] for another live vertex v; each
+    removal costs O(n^2) subset tests on bitmasks, so the whole check is O(n^3).
+    """
+    closed = [sum(1 << u for u in g.adj[v]) | (1 << v) for v in range(g.n)]
+    alive = (1 << g.n) - 1
+    for _ in range(g.n - 1):
+        live = [v for v in range(g.n) if alive >> v & 1]
+        dominated = next(
+            (u for u in live for v in live
+             if u != v and closed[u] & alive & ~closed[v] == 0),
+            None,
+        )
+        if dominated is None:
+            return False
+        alive &= ~(1 << dominated)
+    return True
+
+
+class TestAgainstOracles:
+    def test_differential_against_reference_solver(self):
+        compared = 0
+        for _, g in CORPUS:
+            for k in (1, 2, 3):
+                if state_space_size(g.n, k) > 1200:
+                    continue
+                table, result = solve(g, k)
+                ref_values, ref_result = reference_solve(g, k)
+                assert result == ref_result, (g.edges(), k)
+                assert table.values == ref_values, (g.edges(), k)
+                compared += 1
+        assert compared > 600
+
+    def test_one_cop_wins_iff_dismantlable(self):
+        for name, g in CORPUS:
+            assert solve(g, 1)[1].cop_win == dismantlable(g), name
+
+    def test_dismantlability_oracle_on_known_graphs(self):
+        assert dismantlable(path_graph(6)) and dismantlable(complete_graph(5))
+        assert not dismantlable(cycle_graph(4)) and not dismantlable(petersen_graph())
+
+
 class TestBudgets:
     def test_state_budget_error_reports_requirement(self):
         with pytest.raises(SolverBudgetError) as info:
@@ -168,6 +218,29 @@ class TestTheoremBound:
         assert report.t == 4  # longest induced path in a star has 3 vertices
         assert report.cop_number == 1
         assert report.passed
+
+    def test_cop_number_solve_is_reused(self, monkeypatch):
+        calls = []
+        real_solve = solver_module.solve
+
+        def counting_solve(g, k, *args):
+            calls.append(k)
+            return real_solve(g, k, *args)
+
+        monkeypatch.setattr(solver_module, "solve", counting_solve)
+        # K_6: t = 3, so the cop-number search already solved k = t-2 = 1
+        report = verify_theorem_bound(complete_graph(6))
+        assert calls == [1] and report.solver_capture_moves == 2
+        calls.clear()
+        # C_5: cop number 2 < t-2 = 3, so k = 3 is solved once more
+        verify_theorem_bound(cycle_graph(5))
+        assert calls == [1, 2, 3]
+
+    def test_cop_number_records_results(self):
+        results = {}
+        assert cop_number(cycle_graph(5), 3, results=results) == 2
+        assert sorted(results) == [1, 2]
+        assert not results[1].cop_win and results[2].cop_win
 
     def test_work_budget_skips_solver_check(self):
         report = verify_theorem_bound(cycle_graph(12), work_budget=10)
