@@ -54,7 +54,7 @@ def _load_graphs(paths: list[str]):
     for path in paths:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             yield f"{path}", None, f"cannot read: {exc}"
             continue
         payload = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
@@ -88,7 +88,7 @@ def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):
         return GreedyRobber()
     if spec == "optimal":
         k = t - 2
-        work = estimate_solver_work(g, k) if k >= 1 else 0  # solve rejects k < 1 itself
+        work = estimate_solver_work(g, k)
         if work > DEFAULT_WORK_BUDGET:
             raise ValueError(
                 f"optimal robber needs a solve with k={k} of ~{work} move enumerations "
@@ -170,8 +170,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not g.is_connected() or g.n == 0:
         _emit({"type": "error", "error": "simulate requires a connected graph"})
         return ERROR
-    cop = GyarfasCop(args.t, v0_rule=args.v0)
     try:
+        cop = GyarfasCop(args.t, v0_rule=args.v0)
         robber = _make_robber(args.robber, args.seed, g, args.t, args.budget)
         trace = play(g, cop, robber)
     except (SolverBudgetError, ValueError) as exc:

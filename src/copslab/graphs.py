@@ -217,6 +217,10 @@ def encode_graph6(g: Graph) -> str:
 # used for corpora beyond graph6's n <= 62.
 # ---------------------------------------------------------------------------
 
+# Every vertex costs an adjacency set before any edge is read, so the header
+# alone must not be able to ask for more memory than any exact check can use.
+MAX_EDGE_LIST_VERTICES = 100_000
+
 
 def parse_edge_list(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
@@ -231,6 +235,10 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphFormatError("edge-list header must be two integers", offset=lineno) from None
+    if not 0 <= n <= MAX_EDGE_LIST_VERTICES:
+        raise GraphFormatError(
+            f"edge-list vertex count must be in [0, {MAX_EDGE_LIST_VERTICES}], got {n}", offset=lineno
+        )
     if len(rows) - 1 != m:
         raise GraphFormatError(
             f"edge-list declares m={m} but has {len(rows) - 1} edge lines", offset=lineno

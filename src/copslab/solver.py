@@ -113,7 +113,10 @@ def estimate_solver_work(g: Graph, k: int) -> int:
 
     This is the complete homogeneous symmetric sum h_k over (deg(v)+1) times
     the robber-position count, an upper bound on the solver's dominant cost.
+    With no cops (k = 0) it is the robber-position count alone.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     h = [0] * (k + 1)
     h[0] = 1
     for v in range(g.n):

@@ -30,6 +30,15 @@ def graphs(draw, min_n: int = 1, max_n: int = 10):
     return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
 
 
+@st.composite
+def sparse_graphs(draw, max_n: int = 16):
+    """Simple graphs with n in [1, max_n] and average degree in [2, 5] where n allows."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = min(len(pairs), round(draw(st.floats(2.0, 5.0)) * n / 2))
+    return Graph.from_edges(n, draw(st.permutations(pairs))[:m])
+
+
 def uf_components(g: Graph, region) -> list[frozenset[int]]:
     """Union-find oracle for components of the induced subgraph on region."""
     parent = {v: v for v in region}

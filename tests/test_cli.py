@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from copslab.cli import _conjecture_status, main
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
-from copslab.graphs import encode_graph6, format_edge_list
+from copslab.graphs import Graph, encode_graph6, format_edge_list
 from copslab.induced import verify_induced_path
 from copslab.solver import probe_conjecture
 
@@ -79,6 +82,20 @@ class TestLip:
         for r in records:
             assert len(r["witness"]) == r["lip_order"]
 
+    @pytest.mark.parametrize("relabel", [False, True], ids=["in_order", "relabeled"])
+    def test_p1500_edge_list(self, capsys, tmp_path, relabel):
+        # deeper than the default recursion limit: the search keeps its own stack
+        order = list(range(1500))
+        if relabel:
+            random.Random(1500).shuffle(order)
+        g = Graph.from_edges(1500, zip(order, order[1:]))
+        path = tmp_path / "p1500.edges"
+        path.write_text(format_edge_list(g))
+        rc, records = run_cli(capsys, "lip", str(path))
+        assert rc == 0
+        assert records[0]["lip_order"] == 1500
+        assert records[0]["witness"] in (order, order[::-1])
+
 
 class TestSimulate:
     def test_capture_within_bound_exit_zero(self, capsys, c5_file):
@@ -127,6 +144,7 @@ class TestSimulate:
     def test_t_below_three_exit_two(self, capsys, c5_file):
         rc, records = run_cli(capsys, "simulate", c5_file, "--t", "2")
         assert rc == 2
+        assert records == [{"type": "error", "error": "t must be >= 3, got 2"}]
 
     def test_optimal_robber_over_work_budget_exit_two(self, capsys, tmp_path):
         # the k=7 solve would need ~1.36e11 move enumerations against a 1e7 budget
@@ -268,19 +286,42 @@ class TestGen:
 
 
 class TestUncaughtErrors:
-    def test_deep_recursion_is_an_error_record(self, tmp_path):
-        # the recursive induced-path search overflows the stack on P_1500
-        path = tmp_path / "p1500.edges"
-        path.write_text(format_edge_list(path_graph(1500)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "copslab.cli", "lip", str(path)],
-            capture_output=True, text=True, env=cli_env(), timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        records = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert records == [{"type": "error", "error": records[0]["error"]}]
-        assert "RecursionError" in records[0]["error"]
+    def test_uncaught_exception_is_an_error_record(self, capsys, monkeypatch, corpus_file):
+        def broken(g, cap=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("copslab.cli.longest_induced_path_order", broken)
+        rc = main(["lip", corpus_file])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in out.err
+        records = [json.loads(line) for line in out.out.splitlines()]
+        assert records == [{"type": "error", "error": "internal error: RuntimeError: boom"}]
+
+
+class TestExitCodeFuzz:
+    COMMANDS = [
+        ("check", "--t", "4"),
+        ("lip", "--cap", "6"),
+        ("simulate", "--t", "4"),
+        ("solve", "--cops", "1", "--budget", "20000"),
+        ("copnumber", "--max-cops", "2", "--budget", "20000"),
+    ]
+
+    @given(data=st.binary(max_size=16))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_bytes(self, capsys, tmp_path, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        for command, *options in self.COMMANDS:
+            rc = main([command, str(path), *options])
+            out = capsys.readouterr()
+            assert rc in (0, 1, 2), (command, data)
+            assert "Traceback" not in out.err
+            for line in out.out.splitlines():
+                record = json.loads(line)
+                assert "internal error" not in record.get("error", ""), (command, data, record)
 
 
 class TestByteDeterminism:

@@ -16,6 +16,7 @@ from copslab.generators import (
     GenerationError,
 )
 from copslab.graphs import (
+    MAX_EDGE_LIST_VERTICES,
     Graph,
     GraphFormatError,
     closed_neighborhood,
@@ -277,6 +278,12 @@ class TestEdgeList:
     def test_comments_ignored(self):
         g = parse_edge_list("# corpus\n2 1\n0 1\n")
         assert g.edges() == [(0, 1)]
+
+    @pytest.mark.parametrize("n", [-1, MAX_EDGE_LIST_VERTICES + 1])
+    def test_vertex_count_out_of_range(self, n):
+        # rejected from the header, before any adjacency set is built
+        with pytest.raises(GraphFormatError, match="vertex count"):
+            parse_edge_list(f"{n} 0\n")
 
 
 class TestGenerators:

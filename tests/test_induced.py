@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copslab.corpus import theorem_corpus
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
 from copslab.induced import is_pt_free, longest_induced_path_order, verify_induced_path
 
-from conftest import brute_longest_induced_path, graphs
+from conftest import brute_longest_induced_path, graphs, sparse_graphs
+from reference_induced import reference_longest_induced_path_order
 
 
 class TestVerifyInducedPath:
@@ -63,13 +65,31 @@ class TestLongestInducedPath:
         with pytest.raises(ValueError):
             longest_induced_path_order(path_graph(2), cap=0)
 
-    @given(graphs(max_n=9))
-    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(graphs(max_n=9), sparse_graphs(max_n=12)))
+    @settings(max_examples=80, deadline=None)
     def test_matches_subset_enumeration(self, g):
         order, witness = longest_induced_path_order(g)
         assert order == brute_longest_induced_path(g)
         assert verify_induced_path(g, witness)
         assert len(witness) == order
+
+
+def assert_matches_reference(g):
+    """Same (order, witness) as the unpruned search, uncapped and at every cap up to order + 1."""
+    order, _ = reference_longest_induced_path_order(g)
+    for cap in [None, *range(1, order + 2)]:
+        assert longest_induced_path_order(g, cap) == reference_longest_induced_path_order(g, cap), cap
+
+
+class TestMatchesReferenceSearch:
+    def test_theorem_corpus(self):
+        for _, g in theorem_corpus():
+            assert_matches_reference(g)
+
+    @given(sparse_graphs(max_n=16))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_graphs(self, g):
+        assert_matches_reference(g)
 
 
 class TestPtFree:

@@ -176,6 +176,13 @@ class TestBudgets:
         works = [estimate_solver_work(g, k) for k in (1, 2, 3, 4)]
         assert works == sorted(works) and works[0] > 0
 
+    def test_work_estimate_without_cops_is_robber_positions(self):
+        assert estimate_solver_work(gnp_random_graph(9, 0.4, 5), 0) == 9
+
+    def test_work_estimate_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            estimate_solver_work(cycle_graph(5), -1)
+
 
 class TestJointMoves:
     def test_stacked_cops_split(self):
