@@ -12,6 +12,7 @@ separate the mathematical outcome from operational failure:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -39,6 +40,11 @@ OK, NEGATIVE, ERROR = 0, 1, 2
 
 def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+
+
+def _error(message: str) -> int:
+    _emit({"type": "error", "error": message})
+    return ERROR
 
 
 def _graph_id(g: Graph, fallback: str) -> str:
@@ -109,6 +115,8 @@ def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.t < 1:
+        return _error(f"t must be >= 1, got {args.t}")
     any_error = False
     any_not_free = False
     for loc, g, err in _load_graphs(args.files):
@@ -138,6 +146,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_lip(args: argparse.Namespace) -> int:
+    if args.cap is not None and args.cap < 1:
+        return _error(f"cap must be >= 1, got {args.cap}")
     any_error = False
     for loc, g, err in _load_graphs(args.files):
         if err is not None:
@@ -165,18 +175,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         g = _load_single_graph(args.file)
     except GraphFormatError as exc:
-        _emit({"type": "error", "error": str(exc)})
-        return ERROR
+        return _error(str(exc))
     if not g.is_connected() or g.n == 0:
-        _emit({"type": "error", "error": "simulate requires a connected graph"})
-        return ERROR
+        return _error("simulate requires a connected graph")
     try:
         cop = GyarfasCop(args.t, v0_rule=args.v0)
         robber = _make_robber(args.robber, args.seed, g, args.t, args.budget)
         trace = play(g, cop, robber)
     except (SolverBudgetError, ValueError) as exc:
-        _emit({"type": "error", "error": str(exc)})
-        return ERROR
+        return _error(str(exc))
     if args.format == "dot":
         sys.stdout.write(trace_to_dot(trace))
     else:
@@ -195,8 +202,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         g = _load_single_graph(args.file)
         table, result = solve(g, args.cops, state_budget=args.budget)
     except (GraphFormatError, ValueError) as exc:
-        _emit({"type": "error", "error": str(exc)})
-        return ERROR
+        return _error(str(exc))
     except SolverBudgetError as exc:
         _emit({"type": "error", "error": str(exc), "required_budget": exc.required})
         return ERROR
@@ -229,8 +235,7 @@ def cmd_copnumber(args: argparse.Namespace) -> int:
         g = _load_single_graph(args.file)
         k = cop_number(g, args.max_cops, state_budget=args.budget)
     except (GraphFormatError, ValueError) as exc:
-        _emit({"type": "error", "error": str(exc)})
-        return ERROR
+        return _error(str(exc))
     except SolverBudgetError as exc:
         _emit({"type": "error", "error": str(exc), "required_budget": exc.required})
         return ERROR
@@ -319,8 +324,11 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 def cmd_conjecture_search(args: argparse.Namespace) -> int:
     if args.t < 5:
-        _emit({"type": "error", "error": f"conjecture search needs t >= 5, got {args.t}"})
-        return ERROR
+        return _error(f"conjecture search needs t >= 5, got {args.t}")
+    if args.n < 1:
+        return _error(f"n must be >= 1, got {args.n}")
+    if args.samples < 0:
+        return _error(f"samples must be >= 0, got {args.samples}")
     stream = SplitMix64(args.seed)
     holds = violated = unknown = failures = 0
     for i in range(args.samples):
@@ -370,19 +378,19 @@ def cmd_conjecture_search(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        return _error(f"count must be >= 0, got {args.count}")
     parts = [args.kind, *args.params]
     if args.kind == "connected_ptfree":
         if args.t is None:
-            _emit({"type": "error", "error": "connected_ptfree needs --t"})
-            return ERROR
+            return _error("connected_ptfree needs --t")
         parts = [args.kind, *args.params, str(args.t)]
     spec = " ".join(parts)
     for i in range(args.count):
         try:
             g = generate(spec, seed=args.seed + i)
         except (ValueError, GenerationError) as exc:
-            _emit({"type": "error", "error": str(exc)})
-            return ERROR
+            return _error(str(exc))
         if g.n <= 62:
             print(encode_graph6(g))
         else:
@@ -469,15 +477,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call.
+
+    Parsing leaves the parser as it was, and argparse looks up sys.stdout and
+    sys.stderr when it writes, so every call behaves as in a fresh process.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
         return ERROR
     except Exception as exc:  # the exit-code contract holds for every input
-        _emit({"type": "error", "error": f"internal error: {type(exc).__name__}: {exc}"})
-        return ERROR
+        return _error(f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -182,14 +182,22 @@ def parse_graph6(text: str) -> Graph:
     padding = 6 * nbytes - nbits
     if padding and (data[nbytes] - 63) & ((1 << padding) - 1):
         raise GraphFormatError("nonzero padding bits in the last graph6 byte", offset=nbytes)
+    bits = 0
+    for b in data[1:]:
+        bits = (bits << 6) | (b - 63)
+    bits >>= padding
+    # Column j holds the pairs (0,j)..(j-1,j), most significant first, so
+    # bit j-1-i of it is the pair (i, j). Taking the highest bit first lists
+    # the edges in graph6 pair order.
     edges = []
-    k = 0
+    shift = nbits
     for j in range(1, n):
-        for i in range(j):
-            byte = data[1 + k // 6] - 63
-            if (byte >> (5 - k % 6)) & 1:
-                edges.append((i, j))
-            k += 1
+        shift -= j
+        col = (bits >> shift) & ((1 << j) - 1)
+        while col:
+            top = col.bit_length()
+            col ^= 1 << (top - 1)
+            edges.append((j - top, j))
     return Graph.from_edges(n, edges)
 
 
@@ -197,19 +205,23 @@ def encode_graph6(g: Graph) -> str:
     """Encode a graph with n <= 62 as a short-form graph6 string."""
     if g.n > 62:
         raise ValueError(f"graph6 short form requires n <= 62, got n={g.n}")
-    out = [g.n + 63]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out).decode("ascii")
+    n = g.n
+    bits = 0
+    for j in range(1, n):
+        col = 0
+        for i in g.adj[j]:
+            if i < j:
+                col |= 1 << (j - 1 - i)
+        bits = (bits << j) | col
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    bits <<= 6 * nbytes - nbits
+    out = bytearray(nbytes + 1)
+    out[0] = n + 63
+    for k in range(nbytes, 0, -1):
+        out[k] = (bits & 63) + 63
+        bits >>= 6
+    return out.decode("ascii")
 
 
 # ---------------------------------------------------------------------------

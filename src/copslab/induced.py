@@ -7,7 +7,13 @@ strictly longer than the best found so far, so it reports the same path as
 the unpruned DFS. The bound, cheapest first: the free vertices (outside the
 path and its neighbourhood), then those a flood from the tip's candidates
 reaches through them, then, close to the cut-off, that count less all but one
-of the reached vertices that could only end the path. Sized for desk-scale
+of the reached vertices that could only end the path. A node with several
+extensions keeps its whole flood, which holds each child's: a child whose
+share of it (less the new tip's neighbours) is already below the cut-off is
+skipped without a flood of its own. `is_pt_free(g, t)` runs the same search as
+if a path of t-1 vertices were already known, so every subtree that cannot
+reach t vertices is skipped from the first node on, and the first t-vertex
+path in DFS order is still its certificate. Sized for desk-scale
 corpora: uncapped on sparse G(n, c/n) (c ~ 4-5) up to n = 36, capped
 P_t-freeness checks to n ~ 30, and paths and cycles such as P_1500 and C_1500.
 Heuristics are deliberately out of scope: downstream checks need the true
@@ -52,31 +58,43 @@ def longest_induced_path_order(
     skips only subtrees without a strictly longer path, so it never changes
     which path is reported.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return 0, []
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    path = _search(g, 1, cap) if cap != 1 else None
+    return (1, [0]) if path is None else (len(path), path)
+
+
+def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
+    """The last of the successively longer induced paths found, or None.
+
+    The DFS starts as if a path of `known` >= 1 vertices had already been
+    found, so it records, and bounds against, only paths with more vertices;
+    with `cap` it returns the first path of `cap` vertices.
+    """
+    n = g.n
     nbr = [0] * n
     for v in range(n):
         for u in g.adj[v]:
             nbr[v] |= 1 << u
-    best_order = 1
-    best_path = [0]
-    if cap == 1:
-        return 1, [0]
+    best_order = known
+    best_path = None
     full = (1 << n) - 1
     path: list[int] = []
     # One frame per path vertex: the extensions not yet tried, the vertices
-    # closed to every extension (path vertices and their neighbours), and, for
-    # a node with a single extension, its flood (see _Flood).
+    # closed to every extension (path vertices and their neighbours), for a
+    # node with a single extension its flood (see _Flood), and for a node with
+    # several the reach of its whole flood (-1 if it has none), which holds
+    # every child's flood.
     cands: list[int] = []
     closed: list[int] = []
     floods: list[_Flood | None] = []
+    reaches: list[int] = []
     for start in range(n):
         tip, blocked = start, 1 << start
         path.append(start)
-        flood = None
+        flood, space = None, -1
         while True:
             # Open the node whose path ends at tip; blocked = path vertices plus
             # everything adjacent to a non-tip path vertex.
@@ -84,11 +102,12 @@ def longest_induced_path_order(
             blocked |= nbr[tip]
             # The subtree matters only if it can add more than `room` vertices:
             # one candidate, then free vertices (outside the path and its
-            # neighbourhood). With room <= 0 any extension is an improvement.
+            # neighbourhood) within the parent's reach. With room <= 0 any
+            # extension is an improvement.
             room = best_order - len(path)
             if cand and room > 0:
                 free = full ^ blocked
-                if free.bit_count() < room:
+                if (free & space).bit_count() < room:
                     cand = 0
                 else:
                     # A flood holding room + 2 vertices cannot prune, so one
@@ -100,13 +119,19 @@ def longest_induced_path_order(
             if cand:
                 cands.append(cand)
                 closed.append(blocked)
-                floods.append(flood if cand & (cand - 1) == 0 else None)
+                if cand & (cand - 1) == 0:
+                    floods.append(flood)
+                    reaches.append(-1)
+                else:
+                    floods.append(None)
+                    reaches.append(flood.reach if flood is not None and flood.whole else -1)
             else:
                 path.pop()
             while cands and not cands[-1]:
                 cands.pop()
                 closed.pop()
                 floods.pop()
+                reaches.pop()
                 path.pop()
             if not cands:
                 break
@@ -119,12 +144,13 @@ def longest_induced_path_order(
                 best_order = len(path)
                 best_path = path.copy()
                 if cap is not None and best_order >= cap:
-                    return best_order, best_path
+                    return best_path
             blocked = closed[-1] | low
             flood = floods[-1]
             if flood is not None:
                 flood = flood.after(nbr[tip])
-    return best_order, best_path
+            space = reaches[-1]
+    return best_path
 
 
 class _Flood:
@@ -214,11 +240,15 @@ def is_pt_free(g: Graph, t: int) -> tuple[bool, list[int] | None]:
     """Whether g has no induced path on t vertices.
 
     When it does, also returns one such path (exactly t vertices) as a
-    certificate; the certificate always passes `verify_induced_path`.
+    certificate; the certificate always passes `verify_induced_path`. It is
+    the first t-vertex path in DFS order, the witness of
+    `longest_induced_path_order(g, cap=t)`.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    order, witness = longest_induced_path_order(g, cap=t)
-    if order < t:
-        return True, None
-    return False, witness
+    if t == 1:
+        return (True, None) if g.n == 0 else (False, [0])
+    # Searching as if a path of t-1 vertices were known prunes, from the
+    # first node on, every subtree that cannot reach t vertices.
+    path = _search(g, t - 1, t)
+    return (True, None) if path is None else (False, path)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import subprocess
@@ -299,6 +301,100 @@ class TestUncaughtErrors:
         assert records == [{"type": "error", "error": "internal error: RuntimeError: boom"}]
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "{file}", "--t", "0"], "t must be >= 1, got 0"),
+            (["lip", "{file}", "--cap", "0"], "cap must be >= 1, got 0"),
+            (["conjecture-search", "--t", "5", "--n", "0", "--samples", "2"], "n must be >= 1, got 0"),
+            (["conjecture-search", "--t", "5", "--n", "4", "--samples", "-1"],
+             "samples must be >= 0, got -1"),
+            (["gen", "path", "5", "--count", "-1"], "count must be >= 0, got -1"),
+        ],
+        ids=["check-t0", "lip-cap0", "search-n0", "search-samples-1", "gen-count-1"],
+    )
+    def test_plain_error_record(self, capsys, c5_file, argv, message):
+        rc, records = run_cli(capsys, *(a.replace("{file}", c5_file) for a in argv))
+        assert rc == 2
+        assert records == [{"type": "error", "error": message}]
+
+
+class TestParserReuse:
+    def test_rejected_call_then_valid_call_matches_fresh_process(self, capsys, c5_file):
+        def fresh(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "copslab.cli", *argv], capture_output=True, env=cli_env()
+            )
+
+        with pytest.raises(SystemExit) as info:
+            main(["lip", c5_file, "--cap", "x"])
+        rejected = capsys.readouterr()
+        assert info.value.code == 2
+        assert (rejected.out, rejected.err.encode()) == ("", fresh("lip", c5_file, "--cap", "x").stderr)
+        rc = main(["check", c5_file, "--t", "4"])
+        expected = fresh("check", c5_file, "--t", "4")
+        assert (rc, capsys.readouterr().out.encode()) == (expected.returncode, expected.stdout)
+
+    def test_help_goes_to_current_stdout(self, capsys):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", "path", "3"]) == 0
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: copslab check")
+
+
+def _options(draw, **values) -> list[str]:
+    """Each option drawn from its strategy, or left out where it draws None."""
+    argv = []
+    for name, strategy in values.items():
+        value = draw(strategy)
+        if value is not None:
+            argv += [f"--{name}", str(value)]
+    return argv
+
+
+SMALL = st.integers(-3, 9)
+SEED = st.none() | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def search_argv(draw):
+    """conjecture-search with small or negative --t/--n/--samples, now and then one left out."""
+    missing = draw(st.sampled_from([None, None, None, "t", "n", "samples"]))
+    # each value is as likely to be out of range as in range
+    values = {
+        "t": st.integers(-1, 4) | st.integers(5, 8),
+        "n": st.integers(-2, 0) | st.integers(1, 9),
+        "samples": st.integers(-2, 0) | st.integers(1, 3),
+    }
+    return ["conjecture-search", *_options(
+        draw,
+        **{k: st.none() if k == missing else v for k, v in values.items()},
+        seed=SEED,
+    )]
+
+
+@st.composite
+def gen_argv(draw):
+    """gen of every kind with small, negative and out-of-range parameters.
+
+    connected_ptfree keeps n small: at t = 3 each sample needs a complete graph.
+    """
+    kind = draw(st.sampled_from(["path", "cycle", "complete", "star", "petersen", "gnp",
+                                 "connected_ptfree", "tree"]))
+    size = SMALL if kind == "connected_ptfree" else SMALL | st.sampled_from([62, 63, 70])
+    params = draw(st.lists(size.map(str) | st.sampled_from(["0.5", "1.5", "-0.5", "x"]),
+                           max_size=3))
+    return ["gen", kind, *params, *_options(
+        draw,
+        t=st.none() | SMALL,
+        seed=SEED,
+        count=st.none() | st.integers(-2, 2),
+    )]
+
+
 class TestExitCodeFuzz:
     COMMANDS = [
         ("check", "--t", "4"),
@@ -306,6 +402,7 @@ class TestExitCodeFuzz:
         ("simulate", "--t", "4"),
         ("solve", "--cops", "1", "--budget", "20000"),
         ("copnumber", "--max-cops", "2", "--budget", "20000"),
+        ("verify-theorem", "--budget", "20000"),
     ]
 
     @given(data=st.binary(max_size=16))
@@ -322,6 +419,22 @@ class TestExitCodeFuzz:
             for line in out.out.splitlines():
                 record = json.loads(line)
                 assert "internal error" not in record.get("error", ""), (command, data, record)
+
+    @given(argv=st.one_of(search_argv(), gen_argv()))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_commands_without_files(self, capsys, argv):
+        # argparse rejections (SystemExit 2) and valid calls share the one parser
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in out.err
+        for line in out.out.splitlines():
+            if line.startswith("{"):
+                assert "internal error" not in json.loads(line).get("error", ""), (argv, line)
 
 
 class TestByteDeterminism:

@@ -30,6 +30,7 @@ from copslab.graphs import (
 from copslab.induced import is_pt_free
 
 from conftest import graphs, uf_components
+from reference_graph6 import reference_encode_graph6, reference_parse_graph6
 
 
 def _bfs_distances(g: Graph, src: int) -> dict[int, int]:
@@ -260,6 +261,48 @@ class TestGraph6:
     def test_n63_unencodable(self):
         with pytest.raises(ValueError):
             encode_graph6(path_graph(63))
+
+
+@st.composite
+def graph6_graphs(draw):
+    """Graphs with n in [0, 62] and edge density about 2^-1 down to 2^-5."""
+    n = draw(st.integers(0, 62))
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    mask = (1 << len(pairs)) - 1
+    for _ in range(draw(st.integers(1, 5))):
+        mask &= draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc), exc.offset
+
+
+class TestMatchesReferenceCodec:
+    @given(graph6_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_graphs(self, g):
+        s = encode_graph6(g)
+        assert s == reference_encode_graph6(g)
+        ours, theirs = parse_graph6(s), reference_parse_graph6(s)
+        assert ours == theirs == g
+        # the same neighbour sets, built alike: every iteration order matches
+        assert [list(a) for a in ours.adj] == [list(a) for a in theirs.adj]
+
+    @given(
+        st.sampled_from(["", ">>graph6<<", " "]),
+        st.one_of(
+            st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=12),
+            st.text(max_size=12),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_strings(self, prefix, body):
+        text = prefix + body
+        assert _parse_outcome(parse_graph6, text) == _parse_outcome(reference_parse_graph6, text)
 
 
 class TestEdgeList:

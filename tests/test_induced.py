@@ -75,10 +75,17 @@ class TestLongestInducedPath:
 
 
 def assert_matches_reference(g):
-    """Same (order, witness) as the unpruned search, uncapped and at every cap up to order + 1."""
+    """Same answers as the unpruned search, uncapped and at every cap or t up to order + 1.
+
+    `longest_induced_path_order` gives the same (order, witness); `is_pt_free`
+    gives (free, certificate) with the capped search's witness as certificate.
+    """
     order, _ = reference_longest_induced_path_order(g)
     for cap in [None, *range(1, order + 2)]:
         assert longest_induced_path_order(g, cap) == reference_longest_induced_path_order(g, cap), cap
+    for t in range(1, order + 2):
+        found, witness = reference_longest_induced_path_order(g, t)
+        assert is_pt_free(g, t) == ((True, None) if found < t else (False, witness)), t
 
 
 class TestMatchesReferenceSearch:
