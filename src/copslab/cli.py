@@ -7,14 +7,27 @@ separate the mathematical outcome from operational failure:
   0  everything checked out (or, for searches, the run completed)
   1  a mathematical negative: some graph not free, strategy failed, bound missed
   2  operational error: unparsable input, disconnected graph, exhausted budget
+
+`check`, `lip` and `verify-theorem` compute each graph's record on its own.
+On an input of at least two graphs, read from regular files, they fork one
+worker per CPU in the process's affinity set (`os.sched_getaffinity`), up to
+one per graph: worker j takes graphs j, j + jobs, ... and sends their
+records back over its own pipe, and the parent writes them in input order,
+so the output is the same, byte for byte, as when one process does all the
+work. On one graph, one CPU (`taskset -c 0`), or a platform without `fork`,
+the same code runs in the process itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .engine import CAPTURED, play, trace_to_dot
@@ -38,8 +51,12 @@ from .solver import (
 OK, NEGATIVE, ERROR = 0, 1, 2
 
 
+def _line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    print(_line(record))
 
 
 def _error(message: str) -> int:
@@ -51,34 +68,55 @@ def _graph_id(g: Graph, fallback: str) -> str:
     return encode_graph6(g) if g.n <= 62 else fallback
 
 
-def _load_graphs(paths: list[str]):
-    """Yield (location, Graph | None, error | None) over all input files.
+def _inputs(paths: list[str]):
+    """Yield (location, parser, text) per input graph, without parsing it.
 
-    A file whose first payload line is two integers is one edge-list graph;
-    anything else is graph6, one graph per line.
+    A file whose first payload line is two integers is one edge-list graph,
+    read whole; anything else is graph6, one graph per line, read a line at
+    a time and numbered as `str.splitlines` numbers the whole text. A file
+    that cannot be read yields parser None and the error as text.
     """
     for path in paths:
         try:
-            text = Path(path).read_text()
+            with Path(path).open() as fh:
+                yield from _file_inputs(path, fh)
         except (OSError, UnicodeDecodeError) as exc:
-            yield f"{path}", None, f"cannot read: {exc}"
-            continue
-        payload = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-        first = payload[0].split() if payload else []
-        if len(first) == 2 and all(tok.lstrip("-").isdigit() for tok in first):
-            try:
-                yield f"{path}", parse_edge_list(text), None
-            except GraphFormatError as exc:
-                yield f"{path}:{exc.offset}", None, str(exc)
-            continue
-        for lineno, line in enumerate(text.splitlines(), start=1):
+            yield path, None, f"cannot read: {exc}"
+
+
+def _file_inputs(path: str, fh):
+    skipped = []  # the blank and comment lines before the first payload line
+    lineno = 0
+    for physical in fh:  # universal newlines, as in read_text
+        for line in physical.splitlines():  # \v, \f, \x1c-\x1e, \x85, \u2028, \u2029 too
+            lineno += 1
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            loc = f"{path}:{lineno}"
-            try:
-                yield loc, parse_graph6(line), None
-            except GraphFormatError as exc:
-                yield loc, None, str(exc)
+            if skipped is not None:
+                first = line.split()
+                if len(first) == 2 and all(tok.lstrip("-").isdigit() for tok in first):
+                    yield path, parse_edge_list, "".join(skipped) + physical + fh.read()
+                    return
+                skipped = None
+            yield f"{path}:{lineno}", parse_graph6, line
+        if skipped is not None:
+            skipped.append(physical)
+
+
+def _parsed(loc: str, parser, text: str) -> tuple[str, Graph | None, str | None]:
+    """(location, Graph, None), or (location, None, error) for input that does not parse."""
+    if parser is None:
+        return loc, None, text
+    try:
+        return loc, parser(text), None
+    except GraphFormatError as exc:
+        return (loc if parser is parse_graph6 else f"{loc}:{exc.offset}"), None, str(exc)
+
+
+def _load_graphs(paths: list[str]):
+    """Yield (location, Graph | None, error | None) over all input files."""
+    for item in _inputs(paths):
+        yield _parsed(*item)
 
 
 def _load_single_graph(path: str) -> Graph:
@@ -110,65 +148,169 @@ def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):
 
 
 # ---------------------------------------------------------------------------
+# the per-graph driver
+# ---------------------------------------------------------------------------
+
+_END, _RAISED = "end", "raised"  # worker messages that carry no record
+
+
+class _WorkerError(Exception):
+    """An exception a graph worker raised, carried back as its description."""
+
+
+def _describe(exc: Exception) -> str:
+    return str(exc) if isinstance(exc, _WorkerError) else f"{type(exc).__name__}: {exc}"
+
+
+def _jobs(paths: list[str]) -> int:
+    """One worker per CPU in the affinity set; 1 where forking or re-reading the input is unsafe."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1  # a fork copies only this thread, so locks held by the others would stay held
+    cpus = len(os.sched_getaffinity(0))
+    # every worker opens the files anew, which a pipe or terminal does not allow
+    return cpus if cpus > 1 and all(os.path.isfile(p) for p in paths) else 1
+
+
+def _each_graph(paths: list[str], per_graph, jobs: int | None = None):
+    """Yield per_graph(location, Graph | None, error | None) for every input graph, in input order.
+
+    per_graph returns (tag, line) and must not write anything itself. With at
+    least two graphs and jobs > 1 (by default the CPU count, see `_jobs`), the
+    work is spread over min(jobs, graphs) forked workers; otherwise it runs
+    here. Either way the same (tag, line) pairs come out in the same order.
+    """
+    items = _inputs(paths)
+    if jobs is None:
+        jobs = _jobs(paths)
+    head = list(itertools.islice(items, jobs)) if jobs > 1 else []
+    if len(head) < 2:
+        for item in itertools.chain(head, items):
+            yield per_graph(*_parsed(*item))
+        return
+    items.close()  # the workers read the input themselves; this process holds no graph
+    yield from _fan_out(paths, per_graph, len(head))
+
+
+def _fan_out(paths: list[str], per_graph, jobs: int):
+    """Worker j computes graphs j, j + jobs, ...; read their messages round-robin.
+
+    A worker that ends without its end message (killed, or out of memory)
+    raises RuntimeError here. Every worker is killed and reaped when this
+    generator ends, also when its consumer stops early or raises.
+    """
+    pids, readers = [], []
+    try:
+        for j in range(jobs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _graph_worker(paths, per_graph, j, jobs, w, [rd.fileno() for rd in readers])
+            pids.append(pid)
+            os.close(w)
+            readers.append(open(r, "rb"))
+        for j in itertools.cycle(range(jobs)):
+            message = readers[j].readline()
+            if not message:
+                raise RuntimeError(f"graph worker {j} of {jobs} ended without finishing")
+            tag, line = json.loads(message)
+            if tag == _END:
+                return
+            if tag == _RAISED:
+                raise _WorkerError(line)
+            yield tag, line
+    finally:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL; a worker that already exited is a zombie until reaped
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
+def _graph_worker(paths: list[str], per_graph, j: int, jobs: int, fd: int, inherited: list[int]):
+    """The body of forked worker j; it never returns into the caller's code."""
+    status = 1
+    try:
+        for other in inherited:  # the parent's ends of the other workers' pipes
+            os.close(other)
+        with open(fd, "wb") as out:
+
+            def send(tag: str, line: str) -> None:
+                out.write(json.dumps([tag, line]).encode() + b"\n")
+                out.flush()  # the parent may be waiting for this very graph
+
+            try:
+                for i, item in enumerate(_inputs(paths)):
+                    if i % jobs == j:
+                        send(*per_graph(*_parsed(*item)))
+                send(_END, "")
+            except Exception as exc:  # the parent raises it at this graph's place in the output
+                send(_RAISED, _describe(exc))
+        status = 0
+    finally:
+        os._exit(status)  # never run the caller's clean-up or atexit code
+
+
+def _write_each(paths: list[str], per_graph, stop: str | None = None) -> Counter:
+    """Print every graph's line in input order and count the tags; stop after a `stop` tag."""
+    tags: Counter = Counter()
+    with contextlib.closing(_each_graph(paths, per_graph)) as results:
+        for tag, line in results:
+            print(line)
+            tags[tag] += 1
+            if tag == stop:
+                break
+    return tags
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+def _check_graph(t: int, loc: str, g: Graph | None, err: str | None) -> tuple[str, str]:
+    if err is not None:
+        return "error", _line({"type": "check", "graph": loc, "error": err})
+    free, cert = is_pt_free(g, t)
+    rec = {"type": "check", "graph": loc, "graph6": _graph_id(g, loc), "n": g.n, "m": g.m, "t": t,
+           "pt_free": free}
+    if cert is not None:
+        rec["certificate"] = cert
+    return ("free" if free else "not_free"), _line(rec)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.t < 1:
         return _error(f"t must be >= 1, got {args.t}")
-    any_error = False
-    any_not_free = False
-    for loc, g, err in _load_graphs(args.files):
-        if err is not None:
-            any_error = True
-            _emit({"type": "check", "graph": loc, "error": err})
-            if not args.keep_going:
-                return ERROR
-            continue
-        free, cert = is_pt_free(g, args.t)
-        rec = {
-            "type": "check",
-            "graph": loc,
-            "graph6": _graph_id(g, loc),
-            "n": g.n,
-            "m": g.m,
-            "t": args.t,
-            "pt_free": free,
-        }
-        if cert is not None:
-            rec["certificate"] = cert
-        _emit(rec)
-        any_not_free = any_not_free or not free
-    if any_error:
+    tags = _write_each(args.files, functools.partial(_check_graph, args.t),
+                       stop=None if args.keep_going else "error")
+    if tags["error"]:
         return ERROR
-    return NEGATIVE if any_not_free else OK
+    return NEGATIVE if tags["not_free"] else OK
+
+
+def _lip_graph(cap: int | None, loc: str, g: Graph | None, err: str | None) -> tuple[str, str]:
+    if err is not None:
+        return "error", _line({"type": "lip", "graph": loc, "error": err})
+    order, witness = longest_induced_path_order(g, cap=cap)
+    return "ok", _line({"type": "lip", "graph": loc, "graph6": _graph_id(g, loc), "n": g.n, "m": g.m,
+                        "lip_order": order, "witness": witness})
 
 
 def cmd_lip(args: argparse.Namespace) -> int:
     if args.cap is not None and args.cap < 1:
         return _error(f"cap must be >= 1, got {args.cap}")
-    any_error = False
-    for loc, g, err in _load_graphs(args.files):
-        if err is not None:
-            any_error = True
-            _emit({"type": "lip", "graph": loc, "error": err})
-            if not args.keep_going:
-                return ERROR
-            continue
-        order, witness = longest_induced_path_order(g, cap=args.cap)
-        _emit(
-            {
-                "type": "lip",
-                "graph": loc,
-                "graph6": _graph_id(g, loc),
-                "n": g.n,
-                "m": g.m,
-                "lip_order": order,
-                "witness": witness,
-            }
-        )
-    return ERROR if any_error else OK
+    tags = _write_each(args.files, functools.partial(_lip_graph, args.cap),
+                       stop=None if args.keep_going else "error")
+    return ERROR if tags["error"] else OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -263,58 +405,39 @@ def _conjecture_status(t: int, cnum: int | None) -> str:
     return "HOLDS" if cnum is not None and cnum <= t - 3 else "VIOLATED"
 
 
+def _verify_graph(budget: int, loc: str, g: Graph | None, err: str | None) -> tuple[str, str]:
+    if err is not None:
+        return "unknown", _line({"type": "run", "graph": loc, "error": err, "theorem_pass": None})
+    try:
+        report = verify_theorem_bound(g, state_budget=budget)
+    except (SolverBudgetError, ValueError) as exc:
+        return "unknown", _line({"type": "run", "graph": loc, "graph6": _graph_id(g, loc),
+                                 "theorem_pass": None, "conjecture_status": "UNKNOWN",
+                                 "error": str(exc)})
+    rec = {
+        "type": "run",
+        "graph": loc,
+        "graph6": _graph_id(g, loc),
+        "n": g.n,
+        "m": g.m,
+        "lip_order": report.lip_order,
+        "t": report.t,
+        "cop_number": report.cop_number,
+        "strategy_capture_moves": report.strategy_capture_moves,
+        "solver_capture_moves": report.solver_capture_moves,
+        "theorem_pass": report.passed,
+        "conjecture_status": _conjecture_status(report.t, report.cop_number),
+    }
+    if report.solver_skip_reason:
+        rec["solver_skip_reason"] = report.solver_skip_reason
+    return ("passed" if report.passed else "failed"), _line(rec)
+
+
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
-    passed = failed = unknown = 0
-    for loc, g, err in _load_graphs(args.files):
-        if err is not None:
-            unknown += 1
-            _emit({"type": "run", "graph": loc, "error": err, "theorem_pass": None})
-            continue
-        try:
-            report = verify_theorem_bound(g, state_budget=args.budget)
-        except (SolverBudgetError, ValueError) as exc:
-            unknown += 1
-            _emit(
-                {
-                    "type": "run",
-                    "graph": loc,
-                    "graph6": _graph_id(g, loc),
-                    "theorem_pass": None,
-                    "conjecture_status": "UNKNOWN",
-                    "error": str(exc),
-                }
-            )
-            continue
-        rec = {
-            "type": "run",
-            "graph": loc,
-            "graph6": _graph_id(g, loc),
-            "n": g.n,
-            "m": g.m,
-            "lip_order": report.lip_order,
-            "t": report.t,
-            "cop_number": report.cop_number,
-            "strategy_capture_moves": report.strategy_capture_moves,
-            "solver_capture_moves": report.solver_capture_moves,
-            "theorem_pass": report.passed,
-            "conjecture_status": _conjecture_status(report.t, report.cop_number),
-        }
-        if report.solver_skip_reason:
-            rec["solver_skip_reason"] = report.solver_skip_reason
-        _emit(rec)
-        if report.passed:
-            passed += 1
-        else:
-            failed += 1
-    _emit(
-        {
-            "type": "summary",
-            "graphs": passed + failed + unknown,
-            "passed": passed,
-            "failed": failed,
-            "unknown": unknown,
-        }
-    )
+    tags = _write_each(args.files, functools.partial(_verify_graph, args.budget))
+    passed, failed, unknown = tags["passed"], tags["failed"], tags["unknown"]
+    _emit({"type": "summary", "graphs": passed + failed + unknown, "passed": passed,
+           "failed": failed, "unknown": unknown})
     if failed:
         return NEGATIVE
     if unknown and args.strict:
@@ -494,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return ERROR
     except Exception as exc:  # the exit-code contract holds for every input
-        return _error(f"internal error: {type(exc).__name__}: {exc}")
+        return _error(f"internal error: {_describe(exc)}")
 
 
 if __name__ == "__main__":

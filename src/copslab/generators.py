@@ -73,10 +73,15 @@ def connected_ptfree_graph(
     long induced paths; after 50 consecutive rejections at the cap, p is
     halved to restart the climb. One SplitMix64 stream (from `seed`) drives
     every attempt, so the outcome is a pure function of (n, t, seed).
+
+    At t = 3 the answer is K_n without sampling: a connected graph with no
+    induced P_3 is complete, so K_n is the only graph the sampler could accept.
     """
     _check_n(n)
     if t < 3:
         raise ValueError(f"t must be >= 3, got {t}")
+    if t == 3:
+        return complete_graph(n)
     rng = SplitMix64(seed)
     p = min(1.5 / n, 0.9)
     stuck = 0

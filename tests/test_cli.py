@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -12,13 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from copslab.cli import _conjecture_status, main
+from copslab.cli import _conjecture_status, _each_graph, main
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
 from copslab.graphs import Graph, encode_graph6, format_edge_list
 from copslab.induced import verify_induced_path
 from copslab.solver import probe_conjecture
 
-from conftest import cli_env
+from conftest import cli_env, graphs
 
 
 def run_cli(capsys, *argv) -> tuple[int, list[dict]]:
@@ -380,7 +382,7 @@ def search_argv(draw):
 def gen_argv(draw):
     """gen of every kind with small, negative and out-of-range parameters.
 
-    connected_ptfree keeps n small: at t = 3 each sample needs a complete graph.
+    connected_ptfree keeps n small: its rejection sampling slows down as n grows.
     """
     kind = draw(st.sampled_from(["path", "cycle", "complete", "star", "petersen", "gnp",
                                  "connected_ptfree", "tree"]))
@@ -395,6 +397,14 @@ def gen_argv(draw):
     )]
 
 
+@st.composite
+def graph6_lines(draw):
+    """Two to five graph6 lines with arbitrary bytes between them: several graphs per file."""
+    lines = draw(st.lists(graphs(max_n=7).map(lambda g: encode_graph6(g).encode()), min_size=2, max_size=5))
+    junk = draw(st.lists(st.binary(max_size=6), min_size=len(lines), max_size=len(lines)))
+    return b"\n".join(x for pair in zip(lines, junk) for x in pair)
+
+
 class TestExitCodeFuzz:
     COMMANDS = [
         ("check", "--t", "4"),
@@ -405,10 +415,12 @@ class TestExitCodeFuzz:
         ("verify-theorem", "--budget", "20000"),
     ]
 
-    @given(data=st.binary(max_size=16))
+    @given(data=st.binary(max_size=16) | graph6_lines())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_arbitrary_bytes(self, capsys, tmp_path, data):
+    def test_arbitrary_bytes(self, capsys, monkeypatch, tmp_path, data):
+        # three forced workers, so multi-graph inputs take the forked path on any machine
+        monkeypatch.setattr("copslab.cli._each_graph", functools.partial(_each_graph, jobs=3))
         path = tmp_path / "input"
         path.write_bytes(data)
         for command, *options in self.COMMANDS:
@@ -419,6 +431,8 @@ class TestExitCodeFuzz:
             for line in out.out.splitlines():
                 record = json.loads(line)
                 assert "internal error" not in record.get("error", ""), (command, data, record)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     @given(argv=st.one_of(search_argv(), gen_argv()))
     @settings(max_examples=150, deadline=None,

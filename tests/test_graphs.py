@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,9 +365,16 @@ class TestGenerators:
         assert g == connected_ptfree_graph(9, 5, 2026)
 
     def test_connected_ptfree_exhaustion(self):
-        # connected without induced P_3 means complete: hopeless for G(n,p)
+        # a connected cograph (no induced P_4) on 40 vertices: G(n, p <= 0.9) all but never gives one
         with pytest.raises(GenerationError, match="attempts"):
-            connected_ptfree_graph(20, 3, 7, max_attempts=25)
+            connected_ptfree_graph(40, 4, 7, max_attempts=25)
+
+    def test_connected_ptfree_t3_is_complete(self):
+        # connected without induced P_3 means complete, so no sampling is needed
+        start = time.perf_counter()
+        graphs = [connected_ptfree_graph(n, 3, seed=n) for n in range(1, 41)]
+        assert time.perf_counter() - start < 0.1
+        assert graphs == [complete_graph(n) for n in range(1, 41)]
 
     def test_generate_dispatch(self):
         assert generate("path 4") == path_graph(4)
