@@ -8,14 +8,15 @@ separate the mathematical outcome from operational failure:
   1  a mathematical negative: some graph not free, strategy failed, bound missed
   2  operational error: unparsable input, disconnected graph, exhausted budget
 
-`check`, `lip` and `verify-theorem` compute each graph's record on its own.
-On an input of at least two graphs, read from regular files, they fork one
-worker per CPU in the process's affinity set (`os.sched_getaffinity`), up to
-one per graph: worker j takes graphs j, j + jobs, ... and sends their
-records back over its own pipe, and the parent writes them in input order,
-so the output is the same, byte for byte, as when one process does all the
-work. On one graph, one CPU (`taskset -c 0`), or a platform without `fork`,
-the same code runs in the process itself.
+`check`, `lip` and `verify-theorem` compute each graph's record on its own,
+and `conjecture-search` each sample's, from a seed stepped off --seed. On at
+least two graphs (read from regular files) or samples, they fork one worker
+per CPU in the process's affinity set (`os.sched_getaffinity`): worker j
+makes the items itself, takes items j, j + jobs, ... and sends their records
+back over its own pipe, and the parent writes them in order, so the output is
+the same, byte for byte, as when one process does all the work. On one item,
+one CPU (`taskset -c 0`), a platform without `fork`, or a failed fork, the
+same code runs in the process itself.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .solver import (
     SolverBudgetError,
     cop_number,
     estimate_solver_work,
-    probe_conjecture,
     solve,
+    state_space_size,
     verify_theorem_bound,
 )
 
@@ -148,21 +149,21 @@ def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):
 
 
 # ---------------------------------------------------------------------------
-# the per-graph driver
+# the ordered fan-out
 # ---------------------------------------------------------------------------
 
 _END, _RAISED = "end", "raised"  # worker messages that carry no record
 
 
 class _WorkerError(Exception):
-    """An exception a graph worker raised, carried back as its description."""
+    """An exception a worker raised, carried back as its description."""
 
 
 def _describe(exc: Exception) -> str:
     return str(exc) if isinstance(exc, _WorkerError) else f"{type(exc).__name__}: {exc}"
 
 
-def _jobs(paths: list[str]) -> int:
+def _jobs(paths=()) -> int:
     """One worker per CPU in the affinity set; 1 where forking or re-reading the input is unsafe."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
@@ -174,68 +175,62 @@ def _jobs(paths: list[str]) -> int:
     return cpus if cpus > 1 and all(os.path.isfile(p) for p in paths) else 1
 
 
-def _each_graph(paths: list[str], per_graph, jobs: int | None = None):
-    """Yield per_graph(location, Graph | None, error | None) for every input graph, in input order.
+def _each(items, run, jobs: int):
+    """Yield run(item) for every item of the generator items(), in order.
 
-    per_graph returns (tag, line) and must not write anything itself. With at
-    least two graphs and jobs > 1 (by default the CPU count, see `_jobs`), the
-    work is spread over min(jobs, graphs) forked workers; otherwise it runs
-    here. Either way the same (tag, line) pairs come out in the same order.
+    run returns (tag, line) and must not write anything itself. With at least
+    two items and jobs > 1, worker j of min(jobs, items) forked workers makes
+    the items itself and runs items j, j + jobs, ...; this process holds no
+    item. If a fork fails, the workers already started are stopped and all
+    items run here. Either way the same pairs come out in the same order.
     """
-    items = _inputs(paths)
-    if jobs is None:
-        jobs = _jobs(paths)
-    head = list(itertools.islice(items, jobs)) if jobs > 1 else []
-    if len(head) < 2:
-        for item in itertools.chain(head, items):
-            yield per_graph(*_parsed(*item))
-        return
-    items.close()  # the workers read the input themselves; this process holds no graph
-    yield from _fan_out(paths, per_graph, len(head))
-
-
-def _fan_out(paths: list[str], per_graph, jobs: int):
-    """Worker j computes graphs j, j + jobs, ...; read their messages round-robin.
-
-    A worker that ends without its end message (killed, or out of memory)
-    raises RuntimeError here. Every worker is killed and reaped when this
-    generator ends, also when its consumer stops early or raises.
-    """
-    pids, readers = [], []
-    try:
-        for j in range(jobs):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
+    todo = items()
+    head = list(itertools.islice(todo, jobs)) if jobs > 1 else []
+    if len(head) > 1:
+        todo.close()  # the workers make the items themselves; this process holds none
+        workers: list = []  # (pid, read end of its pipe) per worker started
+        try:
+            for j in range(len(head)):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # EAGAIN or ENOMEM; no output was written yet
+                    os.close(r)
+                    os.close(w)
+                    break
+                if pid == 0:
+                    os.close(r)
+                    _worker(items, run, j, len(head), w, [reader.fileno() for _, reader in workers])
                 os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _graph_worker(paths, per_graph, j, jobs, w, [rd.fileno() for rd in readers])
-            pids.append(pid)
-            os.close(w)
-            readers.append(open(r, "rb"))
-        for j in itertools.cycle(range(jobs)):
-            message = readers[j].readline()
-            if not message:
-                raise RuntimeError(f"graph worker {j} of {jobs} ended without finishing")
-            tag, line = json.loads(message)
-            if tag == _END:
+                workers.append((pid, open(r, "rb")))
+            else:
+                yield from _gather([reader for _, reader in workers])
                 return
-            if tag == _RAISED:
-                raise _WorkerError(line)
-            yield tag, line
-    finally:
-        for pid in pids:
-            os.kill(pid, 9)  # SIGKILL; a worker that already exited is a zombie until reaped
-            os.waitpid(pid, 0)
-        for reader in readers:
-            reader.close()
+        finally:
+            for pid, reader in workers:
+                os.kill(pid, 9)  # SIGKILL; a worker that already exited is a zombie until reaped
+                os.waitpid(pid, 0)
+                reader.close()
+        head, todo = [], items()
+    for item in itertools.chain(head, todo):
+        yield run(item)
 
 
-def _graph_worker(paths: list[str], per_graph, j: int, jobs: int, fd: int, inherited: list[int]):
+def _gather(readers: list):
+    """Read the workers' messages round-robin; a worker that ends without its end message raises."""
+    for j in itertools.cycle(range(len(readers))):
+        message = readers[j].readline()
+        if not message:
+            raise RuntimeError(f"graph worker {j} of {len(readers)} ended without finishing")
+        tag, line = json.loads(message)
+        if tag == _END:
+            return
+        if tag == _RAISED:
+            raise _WorkerError(line)
+        yield tag, line
+
+
+def _worker(items, run, j: int, jobs: int, fd: int, inherited: list[int]):
     """The body of forked worker j; it never returns into the caller's code."""
     status = 1
     try:
@@ -245,30 +240,35 @@ def _graph_worker(paths: list[str], per_graph, j: int, jobs: int, fd: int, inher
 
             def send(tag: str, line: str) -> None:
                 out.write(json.dumps([tag, line]).encode() + b"\n")
-                out.flush()  # the parent may be waiting for this very graph
+                out.flush()  # the parent may be waiting for this very item
 
             try:
-                for i, item in enumerate(_inputs(paths)):
-                    if i % jobs == j:
-                        send(*per_graph(*_parsed(*item)))
+                for item in itertools.islice(items(), j, None, jobs):
+                    send(*run(item))
                 send(_END, "")
-            except Exception as exc:  # the parent raises it at this graph's place in the output
+            except Exception as exc:  # the parent raises it at this item's place in the output
                 send(_RAISED, _describe(exc))
         status = 0
     finally:
         os._exit(status)  # never run the caller's clean-up or atexit code
 
 
-def _write_each(paths: list[str], per_graph, stop: str | None = None) -> Counter:
-    """Print every graph's line in input order and count the tags; stop after a `stop` tag."""
+def _write_each(items, run, paths=(), stop: str | None = None) -> Counter:
+    """Print run's line for every item in order and count the tags; stop after a `stop` tag."""
     tags: Counter = Counter()
-    with contextlib.closing(_each_graph(paths, per_graph)) as results:
+    with contextlib.closing(_each(items, run, _jobs(paths))) as results:
         for tag, line in results:
             print(line)
             tags[tag] += 1
             if tag == stop:
                 break
     return tags
+
+
+def _write_graphs(paths: list[str], per_graph, stop: str | None = None) -> Counter:
+    """_write_each over the input graphs: per_graph(location, Graph | None, error | None)."""
+    return _write_each(functools.partial(_inputs, paths), lambda item: per_graph(*_parsed(*item)),
+                       paths, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def _check_graph(t: int, loc: str, g: Graph | None, err: str | None) -> tuple[st
 def cmd_check(args: argparse.Namespace) -> int:
     if args.t < 1:
         return _error(f"t must be >= 1, got {args.t}")
-    tags = _write_each(args.files, functools.partial(_check_graph, args.t),
+    tags = _write_graphs(args.files, functools.partial(_check_graph, args.t),
                        stop=None if args.keep_going else "error")
     if tags["error"]:
         return ERROR
@@ -308,7 +308,7 @@ def _lip_graph(cap: int | None, loc: str, g: Graph | None, err: str | None) -> t
 def cmd_lip(args: argparse.Namespace) -> int:
     if args.cap is not None and args.cap < 1:
         return _error(f"cap must be >= 1, got {args.cap}")
-    tags = _write_each(args.files, functools.partial(_lip_graph, args.cap),
+    tags = _write_graphs(args.files, functools.partial(_lip_graph, args.cap),
                        stop=None if args.keep_going else "error")
     return ERROR if tags["error"] else OK
 
@@ -395,7 +395,7 @@ def cmd_copnumber(args: argparse.Namespace) -> int:
 
 
 def _conjecture_status(t: int, cnum: int | None) -> str:
-    """probe_conjecture's verdict, read off a cop number already searched up to t-2.
+    """`_conjecture_probe`'s verdict, read off a cop number already searched up to t-2.
 
     The cop-number search solved every k <= t-3 under the same state budget,
     so HOLDS iff cop_number <= t-3 is exact, and VIOLATED otherwise.
@@ -434,7 +434,7 @@ def _verify_graph(budget: int, loc: str, g: Graph | None, err: str | None) -> tu
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
-    tags = _write_each(args.files, functools.partial(_verify_graph, args.budget))
+    tags = _write_graphs(args.files, functools.partial(_verify_graph, args.budget))
     passed, failed, unknown = tags["passed"], tags["failed"], tags["unknown"]
     _emit({"type": "summary", "graphs": passed + failed + unknown, "passed": passed,
            "failed": failed, "unknown": unknown})
@@ -445,6 +445,54 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     return OK
 
 
+def _conjecture_probe(g: Graph, t: int, state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[str, dict]:
+    """Whether t-3 cops already suffice on a connected graph, read off cop_number(g, t-3).
+
+    Returns (status, evidence): HOLDS when cop_number <= t-3, VIOLATED when
+    every k <= t-3 loses (a counterexample candidate; never asserted as a
+    failure - the question is open), UNKNOWN when t < 5 or the budget stops
+    a solve. Evidence carries the per-k verdicts needed to replay the claim.
+    """
+    if t < 5:
+        return "UNKNOWN", {"reason": f"probe needs t >= 5, got t={t}"}
+    solved: dict = {}
+    try:
+        cnum = cop_number(g, t - 3, state_budget, results=solved)
+    except SolverBudgetError as exc:
+        status, evidence = "UNKNOWN", {"reason": str(exc)}
+    else:
+        status = _conjecture_status(t, cnum)
+        evidence = ({"k_max": t - 3, "cop_number": cnum} if cnum is not None
+                    else {"k_max": t - 3, "states": state_space_size(g.n, t - 3)})
+    evidence["per_k"] = [{"k": k, "cop_win": result.cop_win} for k, result in solved.items()]
+    return status, evidence
+
+
+def _sample_seeds(seed: int, samples: int):
+    stream = SplitMix64(seed)
+    for i in range(samples):
+        yield i, stream.next_u64()
+
+
+def _search_sample(t: int, n: int, budget: int, item: tuple[int, int]) -> tuple[str, str]:
+    i, seed = item
+    try:
+        g = connected_ptfree_graph(n, t, seed)
+    except GenerationError as exc:
+        return "generation_error", _line({"type": "generation_error", "sample": i, "seed": seed,
+                                          "error": str(exc)})
+    status, evidence = _conjecture_probe(g, t, budget)
+    rec = {"type": "conjecture", "sample": i, "seed": seed, "graph6": encode_graph6(g), "n": g.n,
+           "m": g.m, "t": t, "status": status}
+    if status == "HOLDS":
+        rec["cop_number"] = evidence["cop_number"]
+    else:
+        rec["evidence"] = evidence
+    if status == "VIOLATED":
+        rec["counterexample_candidate"] = True
+    return status, _line(rec)
+
+
 def cmd_conjecture_search(args: argparse.Namespace) -> int:
     if args.t < 5:
         return _error(f"conjecture search needs t >= 5, got {args.t}")
@@ -452,50 +500,11 @@ def cmd_conjecture_search(args: argparse.Namespace) -> int:
         return _error(f"n must be >= 1, got {args.n}")
     if args.samples < 0:
         return _error(f"samples must be >= 0, got {args.samples}")
-    stream = SplitMix64(args.seed)
-    holds = violated = unknown = failures = 0
-    for i in range(args.samples):
-        sample_seed = stream.next_u64()
-        try:
-            g = connected_ptfree_graph(args.n, args.t, sample_seed)
-        except GenerationError as exc:
-            failures += 1
-            _emit({"type": "generation_error", "sample": i, "seed": sample_seed, "error": str(exc)})
-            continue
-        status, evidence = probe_conjecture(g, args.t, state_budget=args.budget)
-        rec = {
-            "type": "conjecture",
-            "sample": i,
-            "seed": sample_seed,
-            "graph6": encode_graph6(g),
-            "n": g.n,
-            "m": g.m,
-            "t": args.t,
-            "status": status,
-        }
-        if status == "HOLDS":
-            holds += 1
-            rec["cop_number"] = evidence["cop_number"]
-        elif status == "VIOLATED":
-            violated += 1
-            rec["counterexample_candidate"] = True
-            rec["evidence"] = evidence
-        else:
-            unknown += 1
-            rec["evidence"] = evidence
-        _emit(rec)
-    _emit(
-        {
-            "type": "summary",
-            "t": args.t,
-            "n": args.n,
-            "samples": args.samples,
-            "holds": holds,
-            "violated": violated,
-            "unknown": unknown,
-            "generation_failures": failures,
-        }
-    )
+    tags = _write_each(functools.partial(_sample_seeds, args.seed, args.samples),
+                       functools.partial(_search_sample, args.t, args.n, args.budget))
+    _emit({"type": "summary", "t": args.t, "n": args.n, "samples": args.samples,
+           "holds": tags["HOLDS"], "violated": tags["VIOLATED"], "unknown": tags["UNKNOWN"],
+           "generation_failures": tags["generation_error"]})
     # A counterexample is a research result, not a failure.
     return OK
 

@@ -414,27 +414,3 @@ def verify_theorem_bound(
         check_time_consistency=check_c,
     )
 
-
-def probe_conjecture(
-    g: Graph, t: int, state_budget: int = DEFAULT_STATE_BUDGET
-) -> tuple[str, dict]:
-    """Record whether t-3 cops already suffice on a connected graph.
-
-    Returns (status, evidence): HOLDS when cop_number <= t-3, VIOLATED when
-    every k <= t-3 loses (a counterexample candidate; never asserted as a
-    failure - the question is open), UNKNOWN when t < 5 or the budget stops
-    the solve. Evidence carries the per-k verdicts needed to replay the claim.
-    """
-    if t < 5:
-        return "UNKNOWN", {"reason": f"probe needs t >= 5, got t={t}"}
-    k_max = t - 3
-    per_k = []
-    try:
-        for k in range(1, k_max + 1):
-            _, result = solve(g, k, state_budget)
-            per_k.append({"k": k, "cop_win": result.cop_win})
-            if result.cop_win:
-                return "HOLDS", {"k_max": k_max, "per_k": per_k, "cop_number": k}
-    except SolverBudgetError as exc:
-        return "UNKNOWN", {"reason": str(exc), "per_k": per_k}
-    return "VIOLATED", {"k_max": k_max, "per_k": per_k, "states": state_space_size(g.n, k_max)}

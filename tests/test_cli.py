@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import json
 import os
@@ -14,11 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from copslab.cli import _conjecture_status, _each_graph, main
+from copslab.cli import _conjecture_probe, _conjecture_status, main
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
 from copslab.graphs import Graph, encode_graph6, format_edge_list
 from copslab.induced import verify_induced_path
-from copslab.solver import probe_conjecture
 
 from conftest import cli_env, graphs
 
@@ -222,7 +220,7 @@ class TestVerifyTheorem:
         assert rc == 0
         runs = [r for r in records if r["type"] == "run"]
         assert [r["conjecture_status"] for r in runs] == [
-            probe_conjecture(g, r["t"])[0] for g, r in zip(graphs, runs)
+            _conjecture_probe(g, r["t"])[0] for g, r in zip(graphs, runs)
         ]
 
     @pytest.mark.parametrize(
@@ -251,6 +249,19 @@ class TestConjectureSearch:
         assert all(r["status"] in {"HOLDS", "VIOLATED", "UNKNOWN"} for r in rows)
         summary = [r for r in records if r["type"] == "summary"][0]
         assert summary["samples"] == 5
+
+    def test_budget_unknown_keeps_the_solved_k(self, capsys):
+        # on 12 vertices k = 1 needs 24 states and k = 2 needs 1872, so a budget of 300 stops at k = 2
+        rc, records = run_cli(capsys, "conjecture-search", "--t", "6", "--n", "12", "--samples", "60",
+                              "--budget", "300")
+        unknown = [r for r in records if r.get("status") == "UNKNOWN"]
+        assert rc == 0 and len(unknown) == 7
+        for r in unknown:
+            assert r["evidence"] == {
+                "per_k": [{"k": 1, "cop_win": False}],
+                "reason": "instance needs 1872 states but the budget is 300; "
+                          "rerun with a budget of at least 1872",
+            }
 
     def test_t_below_five_rejected(self, capsys):
         rc, records = run_cli(
@@ -420,7 +431,7 @@ class TestExitCodeFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_arbitrary_bytes(self, capsys, monkeypatch, tmp_path, data):
         # three forced workers, so multi-graph inputs take the forked path on any machine
-        monkeypatch.setattr("copslab.cli._each_graph", functools.partial(_each_graph, jobs=3))
+        monkeypatch.setattr("copslab.cli._jobs", lambda paths=(): 3)
         path = tmp_path / "input"
         path.write_bytes(data)
         for command, *options in self.COMMANDS:
@@ -437,8 +448,10 @@ class TestExitCodeFuzz:
     @given(argv=st.one_of(search_argv(), gen_argv()))
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_commands_without_files(self, capsys, argv):
-        # argparse rejections (SystemExit 2) and valid calls share the one parser
+    def test_commands_without_files(self, capsys, monkeypatch, argv):
+        # argparse rejections (SystemExit 2) and valid calls share the one parser;
+        # conjecture-search runs its samples over three forced workers
+        monkeypatch.setattr("copslab.cli._jobs", lambda paths=(): 3)
         try:
             rc = main(argv)
         except SystemExit as exc:
@@ -449,6 +462,8 @@ class TestExitCodeFuzz:
         for line in out.out.splitlines():
             if line.startswith("{"):
                 assert "internal error" not in json.loads(line).get("error", ""), (argv, line)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestByteDeterminism:

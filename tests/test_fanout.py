@@ -1,4 +1,4 @@
-"""The per-graph driver of check, lip and verify-theorem, and the streaming input loader.
+"""The ordered fan-out of check, lip, verify-theorem and conjecture-search, and the streaming loader.
 
 Forked workers must give the output of the in-process run, byte for byte,
 and leave no child process behind; the loader must number lines as the
@@ -7,7 +7,7 @@ previous whole-file loader (tests/reference_loader.py) did.
 
 from __future__ import annotations
 
-import functools
+import errno
 import io
 import json
 import os
@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 from copslab import cli
 from copslab.corpus import theorem_corpus
+from copslab.generators import GenerationError
 from copslab.graphs import encode_graph6
 
 from conftest import graphs
 from reference_loader import reference_load_graphs
 
 JUNK = ["not graph6!!", "B~", "@", "A_ x", "é", "?", ""]
-_EACH_GRAPH = cli._each_graph
 
 
 def assert_no_child_left():
@@ -36,7 +36,7 @@ def assert_no_child_left():
 
 
 def run_with_jobs(capsys, monkeypatch, jobs, *argv) -> tuple[int, str]:
-    monkeypatch.setattr(cli, "_each_graph", functools.partial(_EACH_GRAPH, jobs=jobs))
+    monkeypatch.setattr(cli, "_jobs", lambda paths=(): jobs)
     rc = cli.main(list(argv))
     out = capsys.readouterr().out
     assert_no_child_left()
@@ -158,6 +158,114 @@ class TestWorkerFailures:
         rc, out = run_with_jobs(capsys, monkeypatch, 3, "lip", str(path))
         assert time.perf_counter() - start < 2.5  # 10 s if the workers ran to the end
         assert rc == 2 and len(out.splitlines()) == 1
+
+
+def search(t: int, n: int, samples: int, *options: str) -> tuple[str, ...]:
+    return ("conjecture-search", "--t", str(t), "--n", str(n), "--samples", str(samples),
+            "--seed", str(100 * t + n), *options)
+
+
+class TestSearchFanOut:
+    @pytest.mark.parametrize("t", [5, 6, 7])
+    def test_matches_inline(self, capsys, monkeypatch, t):
+        fork, forks = os.fork, []
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        for n in range(1, 15):
+            for samples in (0, 1, 2, 3, 200):
+                argv = search(t, n, samples)
+                forks.clear()
+                inline = run_with_jobs(capsys, monkeypatch, 1, *argv)
+                assert not forks
+                assert run_with_jobs(capsys, monkeypatch, 3, *argv) == inline, argv
+                assert len(forks) == (min(samples, 3) if samples > 1 else 0)
+                assert inline[0] == 0 and inline[1].count("\n") == samples + 1
+
+    @pytest.mark.parametrize("budget", ["10", "300"])
+    def test_budget_unknown_records(self, capsys, monkeypatch, budget):
+        argv = search(6, 12, 60, "--budget", budget)
+        inline = run_with_jobs(capsys, monkeypatch, 1, *argv)
+        assert run_with_jobs(capsys, monkeypatch, 3, *argv) == inline
+        assert '"status":"UNKNOWN"' in inline[1]
+
+    def test_generation_errors(self, capsys, monkeypatch):
+        sample = cli.connected_ptfree_graph
+
+        def sometimes_fails(n, t, seed):
+            if seed % 3 == 0:
+                raise GenerationError(f"no sample for seed {seed}")
+            return sample(n, t, seed)
+
+        monkeypatch.setattr(cli, "connected_ptfree_graph", sometimes_fails)
+        inline = run_with_jobs(capsys, monkeypatch, 1, *search(6, 10, 40))
+        assert run_with_jobs(capsys, monkeypatch, 3, *search(6, 10, 40)) == inline
+        summary = json.loads(inline[1].splitlines()[-1])
+        assert summary["generation_failures"] == inline[1].count('"type":"generation_error"') > 0
+
+    def test_default_jobs_match_inline(self, capsys, monkeypatch):
+        inline = run_with_jobs(capsys, monkeypatch, 1, *search(7, 11, 30))
+        monkeypatch.undo()
+        assert cli.main(list(search(7, 11, 30))) == inline[0]
+        assert capsys.readouterr().out == inline[1]
+        assert_no_child_left()
+
+    def test_exception_at_sample_k_is_the_inline_error_record(self, capsys, monkeypatch):
+        sample = cli.connected_ptfree_graph
+        seventh = list(cli._sample_seeds(100 * 6 + 9, 7))[-1][1]
+
+        def broken(n, t, seed):
+            if seed == seventh:
+                raise RuntimeError("boom")
+            return sample(n, t, seed)
+
+        monkeypatch.setattr(cli, "connected_ptfree_graph", broken)
+        inline = run_with_jobs(capsys, monkeypatch, 1, *search(6, 9, 20))
+        assert run_with_jobs(capsys, monkeypatch, 3, *search(6, 9, 20)) == inline
+        rc, out = inline
+        assert rc == 2
+        assert len(out.splitlines()) == 7
+        assert out.splitlines()[-1] == '{"error":"internal error: RuntimeError: boom","type":"error"}'
+
+    def test_broken_pipe_stops_slow_workers(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, s):
+                raise BrokenPipeError
+
+        probe = cli._conjecture_probe
+
+        def slow(g, t, state_budget):
+            time.sleep(0.5)
+            return probe(g, t, state_budget)
+
+        monkeypatch.setattr(cli, "_conjecture_probe", slow)
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        start = time.perf_counter()
+        assert run_with_jobs(capsys, monkeypatch, 3, *search(6, 9, 60))[0] == 2
+        assert time.perf_counter() - start < 2.5  # 10 s if the workers ran to the end
+
+
+class TestForkFailure:
+    """A fork that fails (EAGAIN, ENOMEM) stops the workers already started and runs in-process."""
+
+    @pytest.mark.parametrize("which", ["search", "verify"])
+    def test_second_fork_fails(self, capsys, monkeypatch, junk_file, which):
+        argv = search(6, 10, 50) if which == "search" else ("verify-theorem", junk_file)
+        inline = run_with_jobs(capsys, monkeypatch, 1, *argv)
+        fork, calls = os.fork, []
+
+        def second_fails():
+            calls.append(os.getpid())
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert run_with_jobs(capsys, monkeypatch, 3, *argv) == inline  # and no child left
+        assert len(calls) == 2
 
 
 class TestJobs:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import copslab.solver as solver_module
+from copslab.cli import _conjecture_probe
 from copslab.corpus import theorem_corpus, tree_corpus
 from copslab.generators import (
     complete_graph,
@@ -17,7 +18,6 @@ from copslab.solver import (
     cop_number,
     estimate_solver_work,
     joint_cop_moves,
-    probe_conjecture,
     solve,
     state_space_size,
     verify_theorem_bound,
@@ -259,21 +259,21 @@ class TestTheoremBound:
 
 class TestConjectureProbe:
     def test_holds_on_c5(self):
-        status, evidence = probe_conjecture(cycle_graph(5), 5)
+        status, evidence = _conjecture_probe(cycle_graph(5), 5)
         assert status == "HOLDS"
         assert evidence["cop_number"] == 2
 
     def test_holds_trivially_on_cliques(self):
-        status, evidence = probe_conjecture(complete_graph(6), 5)
+        status, evidence = _conjecture_probe(complete_graph(6), 5)
         assert status == "HOLDS"
         assert evidence["cop_number"] == 1
 
     def test_unknown_below_t5(self):
-        status, evidence = probe_conjecture(complete_graph(4), 4)
+        status, evidence = _conjecture_probe(complete_graph(4), 4)
         assert status == "UNKNOWN"
 
     def test_unknown_on_budget(self):
-        status, evidence = probe_conjecture(petersen_graph(), 6, state_budget=10)
+        status, evidence = _conjecture_probe(petersen_graph(), 6, state_budget=10)
         assert status == "UNKNOWN"
         assert "budget" in evidence["reason"]
 
@@ -283,7 +283,7 @@ class TestConjectureProbe:
         # against k_max=1 via t=4 - not a real conjecture case (t<5 guards),
         # so instead check the evidence dict of a HOLDS run replays.
         g = cycle_graph(6)
-        status, evidence = probe_conjecture(g, 6)
+        status, evidence = _conjecture_probe(g, 6)
         assert status == "HOLDS"
         for entry in evidence["per_k"]:
             assert solve(g, entry["k"])[1].cop_win == entry["cop_win"]
