@@ -178,7 +178,8 @@ def _jobs(paths=()) -> int:
 def _each(items, run, jobs: int):
     """Yield run(item) for every item of the generator items(), in order.
 
-    run returns (tag, line) and must not write anything itself. With at least
+    run returns (tag, line), where tag is a string or a tuple of strings (or
+    None), and must not write anything itself. With at least
     two items and jobs > 1, worker j of min(jobs, items) forked workers makes
     the items itself and runs items j, j + jobs, ...; this process holds no
     item. If a fork fails, the workers already started are stopped and all
@@ -227,7 +228,7 @@ def _gather(readers: list):
             return
         if tag == _RAISED:
             raise _WorkerError(line)
-        yield tag, line
+        yield (tuple(tag) if isinstance(tag, list) else tag), line  # JSON made a tuple tag a list
 
 
 def _worker(items, run, j: int, jobs: int, fd: int, inherited: list[int]):
@@ -445,27 +446,33 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     return OK
 
 
-def _conjecture_probe(g: Graph, t: int, state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[str, dict]:
+def _conjecture_probe(g: Graph, t: int,
+                      state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[str, dict, str | None]:
     """Whether t-3 cops already suffice on a connected graph, read off cop_number(g, t-3).
 
-    Returns (status, evidence): HOLDS when cop_number <= t-3, VIOLATED when
-    every k <= t-3 loses (a counterexample candidate; never asserted as a
-    failure - the question is open), UNKNOWN when t < 5 or the budget stops
-    a solve. Evidence carries the per-k verdicts needed to replay the claim.
+    Returns (status, evidence, settled_by): HOLDS when cop_number <= t-3,
+    VIOLATED when every k <= t-3 loses (a counterexample candidate; never
+    asserted as a failure - the question is open), UNKNOWN when t < 5 or the
+    budget stops the search. Evidence carries the per-k verdicts needed to
+    replay the claim: every k the search decided before the winning or
+    budget-stopped one lost. settled_by names how the k that decided the
+    verdict was settled ("dismantlability", "domination" or "solve"), and is
+    None for UNKNOWN.
     """
     if t < 5:
-        return "UNKNOWN", {"reason": f"probe needs t >= 5, got t={t}"}
-    solved: dict = {}
+        return "UNKNOWN", {"reason": f"probe needs t >= 5, got t={t}"}, None
+    settled: dict[int, str] = {}
+    cnum = None
     try:
-        cnum = cop_number(g, t - 3, state_budget, results=solved)
+        cnum = cop_number(g, t - 3, state_budget, settled=settled)
     except SolverBudgetError as exc:
-        status, evidence = "UNKNOWN", {"reason": str(exc)}
+        status, evidence, settled_by = "UNKNOWN", {"reason": str(exc)}, None
     else:
-        status = _conjecture_status(t, cnum)
+        status, settled_by = _conjecture_status(t, cnum), settled[max(settled)]
         evidence = ({"k_max": t - 3, "cop_number": cnum} if cnum is not None
                     else {"k_max": t - 3, "states": state_space_size(g.n, t - 3)})
-    evidence["per_k"] = [{"k": k, "cop_win": result.cop_win} for k, result in solved.items()]
-    return status, evidence
+    evidence["per_k"] = [{"k": k, "cop_win": k == cnum} for k in settled]
+    return status, evidence, settled_by
 
 
 def _sample_seeds(seed: int, samples: int):
@@ -474,14 +481,15 @@ def _sample_seeds(seed: int, samples: int):
         yield i, stream.next_u64()
 
 
-def _search_sample(t: int, n: int, budget: int, item: tuple[int, int]) -> tuple[str, str]:
+def _search_sample(t: int, n: int, budget: int, item: tuple[int, int]) -> tuple[tuple, str]:
+    """((status, settled_by), JSONL line) for one sample."""
     i, seed = item
     try:
         g = connected_ptfree_graph(n, t, seed)
     except GenerationError as exc:
-        return "generation_error", _line({"type": "generation_error", "sample": i, "seed": seed,
-                                          "error": str(exc)})
-    status, evidence = _conjecture_probe(g, t, budget)
+        return ("generation_error", None), _line({"type": "generation_error", "sample": i,
+                                                  "seed": seed, "error": str(exc)})
+    status, evidence, settled_by = _conjecture_probe(g, t, budget)
     rec = {"type": "conjecture", "sample": i, "seed": seed, "graph6": encode_graph6(g), "n": g.n,
            "m": g.m, "t": t, "status": status}
     if status == "HOLDS":
@@ -490,7 +498,7 @@ def _search_sample(t: int, n: int, budget: int, item: tuple[int, int]) -> tuple[
         rec["evidence"] = evidence
     if status == "VIOLATED":
         rec["counterexample_candidate"] = True
-    return status, _line(rec)
+    return (status, settled_by), _line(rec)
 
 
 def cmd_conjecture_search(args: argparse.Namespace) -> int:
@@ -502,9 +510,17 @@ def cmd_conjecture_search(args: argparse.Namespace) -> int:
         return _error(f"samples must be >= 0, got {args.samples}")
     tags = _write_each(functools.partial(_sample_seeds, args.seed, args.samples),
                        functools.partial(_search_sample, args.t, args.n, args.budget))
-    _emit({"type": "summary", "t": args.t, "n": args.n, "samples": args.samples,
-           "holds": tags["HOLDS"], "violated": tags["VIOLATED"], "unknown": tags["UNKNOWN"],
-           "generation_failures": tags["generation_error"]})
+    statuses: Counter = Counter()
+    settled: Counter = Counter()
+    for (status, settled_by), count in tags.items():
+        statuses[status] += count
+        settled[settled_by] += count
+    summary = {"type": "summary", "t": args.t, "n": args.n, "samples": args.samples,
+               "holds": statuses["HOLDS"], "violated": statuses["VIOLATED"],
+               "unknown": statuses["UNKNOWN"], "generation_failures": statuses["generation_error"]}
+    if args.stats:
+        summary["settled"] = {how: settled[how] for how in ("dismantlability", "domination", "solve")}
+    _emit(summary)
     # A counterexample is a research result, not a failure.
     return OK
 
@@ -594,6 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stats", action="store_true",
+                   help="count in the summary how many verdicts dismantlability, domination "
+                        "and a solve settled")
     add_budget(p)
     p.set_defaults(func=cmd_conjecture_search)
 

@@ -256,6 +256,7 @@ def parse_edge_list(text: str) -> Graph:
             f"edge-list declares m={m} but has {len(rows) - 1} edge lines", offset=lineno
         )
     edges = []
+    seen = set()
     for lineno, ln in rows[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -266,6 +267,10 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError("edge line must be two integers", offset=lineno) from None
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise GraphFormatError(f"invalid edge ({u},{v}) for n={n}", offset=lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:  # the header's m counts lines, so a repeat would leave the graph one edge short
+            raise GraphFormatError(f"repeated edge ({u},{v})", offset=lineno)
+        seen.add(key)
         edges.append((u, v))
     return Graph.from_edges(n, edges)
 

@@ -25,6 +25,11 @@ Reporting converts plies into "cop moves including the initial placement"
 the path-hunting strategy. Large cop counts explode the joint-move lists:
 the solver only enforces the state budget, so callers gate on
 `estimate_solver_work` before committing to anything past k = 4 or so.
+
+`cop_number` only needs to know whether k cops win, so it solves a k only
+when no theorem decides it: k = 1 is decided by dismantlability, and a k >= 2
+is a win when k vertices dominate the graph. Each k must still fit the state
+budget, as if it were solved.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations_with_replacement, product
+from functools import cached_property, reduce
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
+from operator import or_
 
 from .engine import GameState
 from .graphs import Graph
@@ -255,23 +261,95 @@ def solve(
     return table, SolveResult(True, 1 + (best_ply + 1) // 2, multisets[best_T])
 
 
+def _closed_masks(g: Graph) -> list[int]:
+    """N[v] as a bitmask, for every vertex v."""
+    masks = []
+    for v, near in enumerate(g.adj):
+        mask = 1 << v
+        for u in near:
+            mask |= 1 << u
+        masks.append(mask)
+    return masks
+
+
+def is_dismantlable(g: Graph) -> bool:
+    """Whether one cop wins on the connected graph g (Nowakowski-Winkler; Quilliot).
+
+    A corner u has N[u] inside N[v] for some other vertex v; removing it
+    leaves a retract of the graph, which is one-cop-win iff the graph is, so
+    corners are peeled off in any order until one vertex is left or none is
+    a corner. Since u is in N[u], its dominator v is one of its neighbours.
+    """
+    closed = _closed_masks(g)
+    alive, left = (1 << g.n) - 1, g.n
+    peeled = True
+    while peeled and left > 1:
+        peeled = False
+        for u in range(g.n):
+            if not alive >> u & 1:
+                continue
+            near = closed[u] & alive
+            others = near ^ (1 << u)
+            while others:
+                low = others & -others
+                if near & ~closed[low.bit_length() - 1] == 0:
+                    alive ^= 1 << u
+                    left -= 1
+                    peeled = True
+                    break
+                others ^= low
+    return left <= 1
+
+
+def has_dominating_set(g: Graph, k: int) -> bool:
+    """Whether some k distinct vertices have closed neighbourhoods covering g.
+
+    k cops placed on them capture any robber on their next move, so they win.
+    The scan tries C(n, k) sets, fewer than the C(n+k-1, k) cop multisets a
+    k-cop solve ranks.
+    """
+    full = (1 << g.n) - 1
+    return any(reduce(or_, sets) == full for sets in combinations(_closed_masks(g), k))
+
+
 def cop_number(
     g: Graph,
     k_max: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
     results: dict[int, SolveResult] | None = None,
+    settled: dict[int, str] | None = None,
 ) -> int | None:
     """Smallest k <= k_max with a cop win, or None meaning "> k_max".
 
-    When `results` is given, each solved k's SolveResult is stored in it.
+    k = 1 is settled by `is_dismantlable`, and a k >= 2 is a win without a
+    solve when `has_dominating_set` finds k dominating vertices; every other
+    k is solved. Every k is held to the state budget all the same, so a
+    budget stop raises SolverBudgetError at the same k as a solve would.
+
+    When `results` is given, the SolveResult of each k that was solved is
+    stored in it; when `settled` is given, each k decided is mapped, in
+    order, to how: "dismantlability", "domination" or "solve".
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if g.n == 0 or not g.is_connected():
+        raise ValueError("solver requires a connected, non-empty graph")
     for k in range(1, k_max + 1):
-        _, result = solve(g, k, state_budget)
-        if results is not None:
-            results[k] = result
-        if result.cop_win:
+        required = state_space_size(g.n, k)
+        if required > state_budget:
+            raise SolverBudgetError(required, state_budget)
+        if k == 1:
+            how, win = "dismantlability", is_dismantlable(g)
+        elif has_dominating_set(g, k):
+            how, win = "domination", True
+        else:
+            _, result = solve(g, k, state_budget)
+            how, win = "solve", result.cop_win
+            if results is not None:
+                results[k] = result
+        if settled is not None:
+            settled[k] = how
+        if win:
             return k
     return None
 

@@ -75,6 +75,14 @@ class TestCheck:
         rc, records = run_cli(capsys, "check", str(path), "--t", "4")
         assert rc == 0 and records[0]["n"] == 3
 
+    def test_edge_list_repeated_edge_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("3 3\n0 1\n0 1\n1 2\n")
+        rc, records = run_cli(capsys, "check", str(path), "--t", "4")
+        assert rc == 2
+        assert records == [{"type": "check", "graph": f"{path}:3",
+                            "error": "repeated edge (0,1) (offset 3)"}]
+
 
 class TestLip:
     def test_orders(self, capsys, corpus_file):
@@ -262,6 +270,27 @@ class TestConjectureSearch:
                 "reason": "instance needs 1872 states but the budget is 300; "
                           "rerun with a budget of at least 1872",
             }
+
+    def test_stats_count_how_each_verdict_was_settled(self, capsys):
+        argv = ("conjecture-search", "--t", "6", "--n", "12", "--samples", "60", "--seed", "4")
+        rc, plain = run_cli(capsys, *argv)
+        rc_stats, stats = run_cli(capsys, *argv, "--stats")
+        assert rc == rc_stats == 0
+        assert plain[:-1] == stats[:-1]
+        summary = stats[-1]
+        settled = summary.pop("settled")
+        assert summary == plain[-1] and "settled" not in plain[-1]
+        assert list(settled) == ["dismantlability", "domination", "solve"]
+        assert sum(settled.values()) == summary["holds"] + summary["violated"]
+        # each HOLDS at k = 1 is a dismantlable sample
+        assert settled["dismantlability"] == sum(1 for r in plain if r.get("cop_number") == 1)
+
+    def test_stats_skip_budget_stopped_samples(self, capsys):
+        rc, records = run_cli(capsys, "conjecture-search", "--t", "6", "--n", "12", "--samples", "60",
+                              "--budget", "300", "--stats")
+        summary = records[-1]
+        assert rc == 0 and summary["unknown"] == 7
+        assert sum(summary["settled"].values()) == summary["holds"] == 53
 
     def test_t_below_five_rejected(self, capsys):
         rc, records = run_cli(

@@ -192,6 +192,14 @@ class TestSearchFanOut:
         assert run_with_jobs(capsys, monkeypatch, 3, *argv) == inline
         assert '"status":"UNKNOWN"' in inline[1]
 
+    @pytest.mark.parametrize("budget", ["300", "50000000"])
+    def test_stats_summary_matches_inline(self, capsys, monkeypatch, budget):
+        # the workers send each sample's (status, settled_by) tag over JSON, which makes it a list
+        argv = search(6, 12, 60, "--budget", budget, "--stats")
+        inline = run_with_jobs(capsys, monkeypatch, 1, *argv)
+        assert run_with_jobs(capsys, monkeypatch, 3, *argv) == inline
+        assert '"settled":{' in inline[1].splitlines()[-1]
+
     def test_generation_errors(self, capsys, monkeypatch):
         sample = cli.connected_ptfree_graph
 

@@ -324,6 +324,16 @@ class TestEdgeList:
         g = parse_edge_list("# corpus\n2 1\n0 1\n")
         assert g.edges() == [(0, 1)]
 
+    @pytest.mark.parametrize("text,line", [
+        ("3 3\n0 1\n0 1\n1 2\n", 3),  # the same orientation
+        ("# c\n3 3\n0 1\n1 2\n\n2 1\n", 6),  # reversed, after a blank line
+    ])
+    def test_repeated_edge_rejected_at_its_line(self, text, line):
+        # m counts edge lines, so a repeat would otherwise load a graph with m - 1 edges
+        with pytest.raises(GraphFormatError, match="repeated edge") as info:
+            parse_edge_list(text)
+        assert info.value.offset == line
+
     @pytest.mark.parametrize("n", [-1, MAX_EDGE_LIST_VERTICES + 1])
     def test_vertex_count_out_of_range(self, n):
         # rejected from the header, before any adjacency set is built

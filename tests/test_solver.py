@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 import copslab.solver as solver_module
 from copslab.cli import _conjecture_probe
@@ -13,16 +16,20 @@ from copslab.generators import (
     petersen_graph,
     star_graph,
 )
+from copslab.graphs import Graph
 from copslab.solver import (
     SolverBudgetError,
     cop_number,
     estimate_solver_work,
+    has_dominating_set,
+    is_dismantlable,
     joint_cop_moves,
     solve,
     state_space_size,
     verify_theorem_bound,
 )
 
+from conftest import graphs
 from reference_solver import reference_solve
 
 
@@ -157,11 +164,71 @@ class TestAgainstOracles:
 
     def test_one_cop_wins_iff_dismantlable(self):
         for name, g in CORPUS:
-            assert solve(g, 1)[1].cop_win == dismantlable(g), name
+            assert solve(g, 1)[1].cop_win == dismantlable(g) == is_dismantlable(g), name
 
     def test_dismantlability_oracle_on_known_graphs(self):
         assert dismantlable(path_graph(6)) and dismantlable(complete_graph(5))
         assert not dismantlable(cycle_graph(4)) and not dismantlable(petersen_graph())
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(graphs(max_n=12))
+    def test_src_dismantlability_matches_oracle_on_random_graphs(self, g):
+        assume(g.is_connected())
+        assert is_dismantlable(g) == dismantlable(g)
+
+
+def kneser(n: int, k: int):
+    """K(n, k): the k-subsets of range(n), adjacent when disjoint; K(5, 2) is the Petersen graph."""
+    subsets = list(combinations(range(n), k))
+    return Graph.from_edges(len(subsets), [(i, j) for i, j in combinations(range(len(subsets)), 2)
+                                           if not set(subsets[i]) & set(subsets[j])])
+
+
+def solve_only_cop_number(g, k_max):
+    for k in range(1, k_max + 1):
+        if solve(g, k)[1].cop_win:
+            return k
+    return None
+
+
+class TestCopNumberShortcuts:
+    """cop_number settles k = 1 by dismantlability and k >= 2 by domination; a solve-only loop agrees."""
+
+    def test_corpus_matches_solve_only(self):
+        for name, g in CORPUS:
+            for k_max in (1, 2, 3):
+                assert cop_number(g, k_max) == solve_only_cop_number(g, k_max), (name, k_max)
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(graphs(max_n=9))
+    def test_random_connected_graphs_match_solve_only(self, g):
+        assume(g.is_connected())
+        assert cop_number(g, 3) == solve_only_cop_number(g, 3)
+
+    @pytest.mark.parametrize("g,k_max,expected", [
+        *((cycle_graph(n), 2, 2) for n in (4, 5, 6, 9)),
+        (petersen_graph(), 3, 3),
+        (kneser(6, 2), 3, 3),
+        (kneser(7, 2), 3, 3),
+    ], ids=["C4", "C5", "C6", "C9", "petersen", "K(6,2)", "K(7,2)"])
+    def test_known_graphs_match_solve_only(self, g, k_max, expected):
+        assert cop_number(g, k_max) == solve_only_cop_number(g, k_max) == expected
+
+    def test_domination_needs_k_distinct_vertices(self):
+        assert has_dominating_set(cycle_graph(6), 2)  # N[0] and N[3]
+        assert not has_dominating_set(cycle_graph(7), 2)
+        assert has_dominating_set(petersen_graph(), 3) and not has_dominating_set(petersen_graph(), 2)
+
+    @pytest.mark.parametrize("g,k", [(complete_graph(3), 1), (cycle_graph(4), 2), (petersen_graph(), 2)],
+                             ids=["dismantlability", "domination", "solve"])
+    def test_budget_is_checked_for_every_k_however_settled(self, g, k):
+        with pytest.raises(SolverBudgetError) as info:
+            cop_number(g, 3, state_budget=state_space_size(g.n, k) - 1)
+        assert info.value.required == state_space_size(g.n, k)
+
+    def test_disconnected_graph_rejected_before_any_k(self):
+        with pytest.raises(ValueError, match="connected, non-empty"):
+            cop_number(Graph.from_edges(2, []), 2, state_budget=1)
 
 
 class TestBudgets:
@@ -235,19 +302,28 @@ class TestTheoremBound:
             return real_solve(g, k, *args)
 
         monkeypatch.setattr(solver_module, "solve", counting_solve)
-        # K_6: t = 3, so the cop-number search already solved k = t-2 = 1
+        # K_6: t = 3; dismantlability settles k = t-2 = 1, so it is solved once for its capture time
         report = verify_theorem_bound(complete_graph(6))
         assert calls == [1] and report.solver_capture_moves == 2
         calls.clear()
-        # C_5: cop number 2 < t-2 = 3, so k = 3 is solved once more
+        # C_5: k = 1 by dismantlability, k = 2 by domination, and k = t-2 = 3 solved once
         verify_theorem_bound(cycle_graph(5))
-        assert calls == [1, 2, 3]
+        assert calls == [3]
+        calls.clear()
+        # C_4: t = 4; with domination off, the cop-number search solves k = t-2 = 2, which is reused
+        monkeypatch.setattr(solver_module, "has_dominating_set", lambda g, k: False)
+        report = verify_theorem_bound(cycle_graph(4))
+        assert calls == [2] and report.cop_number == 2 and report.solver_capture_moves == 2
 
     def test_cop_number_records_results(self):
-        results = {}
-        assert cop_number(cycle_graph(5), 3, results=results) == 2
-        assert sorted(results) == [1, 2]
-        assert not results[1].cop_win and results[2].cop_win
+        results, settled = {}, {}
+        assert cop_number(cycle_graph(5), 3, results=results, settled=settled) == 2
+        assert results == {}  # no k needed a solve
+        assert settled == {1: "dismantlability", 2: "domination"}
+        results, settled = {}, {}
+        assert cop_number(petersen_graph(), 3, results=results, settled=settled) == 3
+        assert sorted(results) == [2] and not results[2].cop_win
+        assert settled == {1: "dismantlability", 2: "solve", 3: "domination"}
 
     def test_work_budget_skips_solver_check(self):
         report = verify_theorem_bound(cycle_graph(12), work_budget=10)
@@ -259,21 +335,21 @@ class TestTheoremBound:
 
 class TestConjectureProbe:
     def test_holds_on_c5(self):
-        status, evidence = _conjecture_probe(cycle_graph(5), 5)
+        status, evidence, _ = _conjecture_probe(cycle_graph(5), 5)
         assert status == "HOLDS"
         assert evidence["cop_number"] == 2
 
     def test_holds_trivially_on_cliques(self):
-        status, evidence = _conjecture_probe(complete_graph(6), 5)
+        status, evidence, _ = _conjecture_probe(complete_graph(6), 5)
         assert status == "HOLDS"
         assert evidence["cop_number"] == 1
 
     def test_unknown_below_t5(self):
-        status, evidence = _conjecture_probe(complete_graph(4), 4)
+        status, evidence, _ = _conjecture_probe(complete_graph(4), 4)
         assert status == "UNKNOWN"
 
     def test_unknown_on_budget(self):
-        status, evidence = _conjecture_probe(petersen_graph(), 6, state_budget=10)
+        status, evidence, _ = _conjecture_probe(petersen_graph(), 6, state_budget=10)
         assert status == "UNKNOWN"
         assert "budget" in evidence["reason"]
 
@@ -283,7 +359,7 @@ class TestConjectureProbe:
         # against k_max=1 via t=4 - not a real conjecture case (t<5 guards),
         # so instead check the evidence dict of a HOLDS run replays.
         g = cycle_graph(6)
-        status, evidence = _conjecture_probe(g, 6)
+        status, evidence, _ = _conjecture_probe(g, 6)
         assert status == "HOLDS"
         for entry in evidence["per_k"]:
             assert solve(g, entry["k"])[1].cop_win == entry["cop_win"]
