@@ -8,6 +8,11 @@ separate the mathematical outcome from operational failure:
   1  a mathematical negative: some graph not free, strategy failed, bound missed
   2  operational error: unparsable input, disconnected graph, exhausted budget
 
+`check`, `lip` and `verify-theorem` exit 2 if any graph's record is an error
+or unknown, even when another graph is a negative. The theorem and t-3
+verdicts of `verify-theorem` and `conjecture-search` are decided in
+`copslab.verify`; this module only builds their records.
+
 `check`, `lip` and `verify-theorem` compute each graph's record on its own,
 and `conjecture-search` each sample's, from a seed stepped off --seed. On at
 least two graphs (read from regular files) or samples, they fork one worker
@@ -38,16 +43,8 @@ from .gyarfas import GyarfasCop
 from .induced import is_pt_free, longest_induced_path_order
 from .rng import SplitMix64
 from .robbers import GreedyRobber, OptimalRobber, RandomRobber
-from .solver import (
-    DEFAULT_STATE_BUDGET,
-    DEFAULT_WORK_BUDGET,
-    SolverBudgetError,
-    cop_number,
-    estimate_solver_work,
-    solve,
-    state_space_size,
-    verify_theorem_bound,
-)
+from .solver import DEFAULT_STATE_BUDGET, SolverBudgetError, cop_number, estimate_solver_work, solve
+from .verify import DEFAULT_WORK_BUDGET, conjecture_probe, verify_theorem_bound
 
 OK, NEGATIVE, ERROR = 0, 1, 2
 
@@ -395,17 +392,6 @@ def cmd_copnumber(args: argparse.Namespace) -> int:
     return OK
 
 
-def _conjecture_status(t: int, cnum: int | None) -> str:
-    """`_conjecture_probe`'s verdict, read off a cop number already searched up to t-2.
-
-    The cop-number search solved every k <= t-3 under the same state budget,
-    so HOLDS iff cop_number <= t-3 is exact, and VIOLATED otherwise.
-    """
-    if t < 5:
-        return "UNKNOWN"
-    return "HOLDS" if cnum is not None and cnum <= t - 3 else "VIOLATED"
-
-
 def _verify_graph(budget: int, loc: str, g: Graph | None, err: str | None) -> tuple[str, str]:
     if err is not None:
         return "unknown", _line({"type": "run", "graph": loc, "error": err, "theorem_pass": None})
@@ -427,7 +413,7 @@ def _verify_graph(budget: int, loc: str, g: Graph | None, err: str | None) -> tu
         "strategy_capture_moves": report.strategy_capture_moves,
         "solver_capture_moves": report.solver_capture_moves,
         "theorem_pass": report.passed,
-        "conjecture_status": _conjecture_status(report.t, report.cop_number),
+        "conjecture_status": report.conjecture_status,
     }
     if report.solver_skip_reason:
         rec["solver_skip_reason"] = report.solver_skip_reason
@@ -439,40 +425,9 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     passed, failed, unknown = tags["passed"], tags["failed"], tags["unknown"]
     _emit({"type": "summary", "graphs": passed + failed + unknown, "passed": passed,
            "failed": failed, "unknown": unknown})
-    if failed:
-        return NEGATIVE
-    if unknown and args.strict:
-        return NEGATIVE
-    return OK
-
-
-def _conjecture_probe(g: Graph, t: int,
-                      state_budget: int = DEFAULT_STATE_BUDGET) -> tuple[str, dict, str | None]:
-    """Whether t-3 cops already suffice on a connected graph, read off cop_number(g, t-3).
-
-    Returns (status, evidence, settled_by): HOLDS when cop_number <= t-3,
-    VIOLATED when every k <= t-3 loses (a counterexample candidate; never
-    asserted as a failure - the question is open), UNKNOWN when t < 5 or the
-    budget stops the search. Evidence carries the per-k verdicts needed to
-    replay the claim: every k the search decided before the winning or
-    budget-stopped one lost. settled_by names how the k that decided the
-    verdict was settled ("dismantlability", "domination" or "solve"), and is
-    None for UNKNOWN.
-    """
-    if t < 5:
-        return "UNKNOWN", {"reason": f"probe needs t >= 5, got t={t}"}, None
-    settled: dict[int, str] = {}
-    cnum = None
-    try:
-        cnum = cop_number(g, t - 3, state_budget, settled=settled)
-    except SolverBudgetError as exc:
-        status, evidence, settled_by = "UNKNOWN", {"reason": str(exc)}, None
-    else:
-        status, settled_by = _conjecture_status(t, cnum), settled[max(settled)]
-        evidence = ({"k_max": t - 3, "cop_number": cnum} if cnum is not None
-                    else {"k_max": t - 3, "states": state_space_size(g.n, t - 3)})
-    evidence["per_k"] = [{"k": k, "cop_win": k == cnum} for k in settled]
-    return status, evidence, settled_by
+    if unknown:
+        return ERROR
+    return NEGATIVE if failed else OK
 
 
 def _sample_seeds(seed: int, samples: int):
@@ -489,7 +444,7 @@ def _search_sample(t: int, n: int, budget: int, item: tuple[int, int]) -> tuple[
     except GenerationError as exc:
         return ("generation_error", None), _line({"type": "generation_error", "sample": i,
                                                   "seed": seed, "error": str(exc)})
-    status, evidence, settled_by = _conjecture_probe(g, t, budget)
+    status, evidence, settled_by = conjecture_probe(g, t, budget)
     rec = {"type": "conjecture", "sample": i, "seed": seed, "graph6": encode_graph6(g), "n": g.n,
            "m": g.m, "t": t, "status": status}
     if status == "HOLDS":
@@ -599,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorem", help="capture-bound checks over a corpus")
     p.add_argument("files", nargs="+")
-    p.add_argument("--strict", action="store_true",
-                   help="treat budget-limited UNKNOWN records as failures")
     add_budget(p)
     p.set_defaults(func=cmd_verify_theorem)
 

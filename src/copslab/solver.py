@@ -34,24 +34,16 @@ budget, as if it were solved.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import or_
 
-from .engine import GameState
 from .graphs import Graph
-from .gyarfas import analyze_strategy
-from .induced import longest_induced_path_order
 
 DEFAULT_STATE_BUDGET = 50_000_000
-# Joint-cop-move enumeration volume a solve is allowed before callers that
-# gate on feasibility (theorem verification, optimal-robber construction)
-# should skip it. Calibrated so a gated solve stays under a second.
-DEFAULT_WORK_BUDGET = 10_000_000
 
 
 class SolverBudgetError(RuntimeError):
@@ -130,27 +122,6 @@ def estimate_solver_work(g: Graph, k: int) -> int:
         for i in range(1, k + 1):
             h[i] += h[i - 1] * w
     return h[k] * max(g.n, 1)
-
-
-def joint_cop_moves(g: Graph, cops: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All sorted cop multisets reachable in one joint move (each cop stays or steps).
-
-    Enumeration groups cops sharing a vertex to avoid the k! blowup of naive
-    products; output is sorted and duplicate-free.
-    """
-    groups = Counter(cops)
-    per_group = []
-    for v, c in sorted(groups.items()):
-        opts = sorted(g.adj[v] | {v})
-        per_group.append(list(combinations_with_replacement(opts, c)))
-    out = set()
-    for parts in product(*per_group):
-        merged: list[int] = []
-        for part in parts:
-            merged.extend(part)
-        merged.sort()
-        out.add(tuple(merged))
-    return sorted(out)
 
 
 def _ranked_joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -316,7 +287,6 @@ def cop_number(
     g: Graph,
     k_max: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    results: dict[int, SolveResult] | None = None,
     settled: dict[int, str] | None = None,
 ) -> int | None:
     """Smallest k <= k_max with a cop win, or None meaning "> k_max".
@@ -326,9 +296,8 @@ def cop_number(
     k is solved. Every k is held to the state budget all the same, so a
     budget stop raises SolverBudgetError at the same k as a solve would.
 
-    When `results` is given, the SolveResult of each k that was solved is
-    stored in it; when `settled` is given, each k decided is mapped, in
-    order, to how: "dismantlability", "domination" or "solve".
+    When `settled` is given, each k decided is mapped, in order, to how:
+    "dismantlability", "domination" or "solve".
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -343,152 +312,9 @@ def cop_number(
         elif has_dominating_set(g, k):
             how, win = "domination", True
         else:
-            _, result = solve(g, k, state_budget)
-            how, win = "solve", result.cop_win
-            if results is not None:
-                results[k] = result
+            how, win = "solve", solve(g, k, state_budget)[1].cop_win
         if settled is not None:
             settled[k] = how
         if win:
             return k
     return None
-
-
-class OptimalCop:
-    """Table-guided cop team: minimax placement, then moves that shrink the value.
-
-    Against the table's own optimal robber this realizes exactly the solver's
-    reported capture time. Deterministic: ties go to the lexicographically
-    smallest cop multiset, and step assignment picks the lowest legal targets.
-    """
-
-    def __init__(self, g: Graph, table: SolverTable, result: SolveResult):
-        if not result.cop_win:
-            raise ValueError("no winning placement exists for this cop count")
-        self._g = g
-        self.table = table
-        self.result = result
-
-    def place(self, g: Graph) -> tuple[int, ...]:
-        return self.result.best_initial_placement
-
-    def move(self, g: Graph, state: GameState) -> tuple[int, ...]:
-        T = tuple(sorted(state.cops))
-        r = state.robber
-        best_T2 = None
-        best_val = None
-        for T2 in joint_cop_moves(g, T):
-            val = self.table.values.get((T2, r, False))
-            if val is None:
-                continue
-            if best_val is None or val < best_val:
-                best_val = val
-                best_T2 = T2
-        if best_T2 is None:
-            raise AssertionError(f"cop-win state {T},{r} has no winning joint move")
-        return _assign_steps(g, state.cops, best_T2)
-
-
-def _assign_steps(
-    g: Graph, current: tuple[int, ...], target: tuple[int, ...]
-) -> tuple[int, ...]:
-    # Map per-cop positions onto a target multiset with stay-or-edge steps.
-    remaining = Counter(target)
-    out: list[int | None] = [None] * len(current)
-
-    def backtrack(i: int) -> bool:
-        if i == len(current):
-            return True
-        a = current[i]
-        for b in sorted(remaining):
-            if remaining[b] and (b == a or g.has_edge(a, b)):
-                remaining[b] -= 1
-                out[i] = b
-                if backtrack(i + 1):
-                    return True
-                remaining[b] += 1
-                out[i] = None
-        return False
-
-    if not backtrack(0):
-        raise AssertionError(f"no legal step assignment {current} -> {target}")
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class TheoremBoundReport:
-    """Checks that t-2 cops suffice on a graph whose longest induced path has t-1 vertices.
-
-    (a) some placement of t-2 cops wins; (b) the path-hunting strategy
-    captures every robber within t-1 cop moves; (c) its capture time is no
-    better than optimal play with the same cop count (skipped with a reason
-    when the full solve exceeds the work budget).
-    """
-
-    n: int
-    m: int
-    lip_order: int
-    t: int
-    cop_number: int | None
-    strategy_capture_moves: int | None
-    solver_capture_moves: int | None
-    solver_skip_reason: str | None
-    check_copwin: bool
-    check_strategy_bound: bool
-    check_time_consistency: bool | None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.check_copwin
-            and self.check_strategy_bound
-            and self.check_time_consistency is not False
-        )
-
-
-def verify_theorem_bound(
-    g: Graph,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    work_budget: int = DEFAULT_WORK_BUDGET,
-) -> TheoremBoundReport:
-    """Run all three capture-bound checks on one connected graph."""
-    lip, _ = longest_induced_path_order(g)
-    t = max(lip + 1, 3)
-    k = t - 2
-    solved: dict[int, SolveResult] = {}
-    cnum = cop_number(g, k_max=k, state_budget=state_budget, results=solved)
-    analysis = analyze_strategy(g, t)
-    strategy_moves = analysis.max_cop_moves
-    check_b = analysis.captured_all and strategy_moves is not None and strategy_moves <= t - 1
-
-    solver_moves = None
-    skip_reason = None
-    check_c: bool | None = None
-    work = estimate_solver_work(g, k)
-    if work > work_budget:
-        skip_reason = f"solve with k={k} needs ~{work} move enumerations (budget {work_budget})"
-    elif state_space_size(g.n, k) > state_budget:
-        skip_reason = f"solve with k={k} exceeds the state budget"
-    else:
-        result = solved[k] if k in solved else solve(g, k, state_budget)[1]
-        solver_moves = result.optimal_capture_cop_moves
-        check_c = (
-            result.cop_win
-            and strategy_moves is not None
-            and strategy_moves >= solver_moves
-        )
-
-    return TheoremBoundReport(
-        n=g.n,
-        m=g.m,
-        lip_order=lip,
-        t=t,
-        cop_number=cnum,
-        strategy_capture_moves=strategy_moves,
-        solver_capture_moves=solver_moves,
-        solver_skip_reason=skip_reason,
-        check_copwin=cnum is not None,
-        check_strategy_bound=check_b,
-        check_time_consistency=check_c,
-    )
-

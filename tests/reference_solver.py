@@ -1,17 +1,41 @@
-"""Reference retrograde solver: a BFS over (cop tuple, robber, side) dictionary keys.
+"""Reference retrograde solver and table-guided cop team, both for tests only.
 
-This is the package's previous `copslab.solver.solve`, kept as an independent
-oracle for differential tests of the ranked bitset solver. It shares only
-`joint_cop_moves` and the result type with the package.
+`reference_solve` is the package's previous `copslab.solver.solve`: a BFS over
+(cop tuple, robber, side) dictionary keys, kept as an independent oracle for
+differential tests of the ranked bitset solver. With `joint_cop_moves`, its
+explicit enumeration of one joint cop move, it shares only the result type
+with the package. `OptimalCop` plays a solved table's moves for the cops.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations_with_replacement
+from collections import Counter, deque
+from itertools import combinations_with_replacement, product
 
+from copslab.engine import GameState
 from copslab.graphs import Graph
-from copslab.solver import SolveResult, joint_cop_moves
+from copslab.solver import SolveResult, SolverTable
+
+
+def joint_cop_moves(g: Graph, cops: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All sorted cop multisets reachable in one joint move (each cop stays or steps).
+
+    Enumeration groups cops sharing a vertex to avoid the k! blowup of naive
+    products; output is sorted and duplicate-free.
+    """
+    groups = Counter(cops)
+    per_group = []
+    for v, c in sorted(groups.items()):
+        opts = sorted(g.adj[v] | {v})
+        per_group.append(list(combinations_with_replacement(opts, c)))
+    out = set()
+    for parts in product(*per_group):
+        merged: list[int] = []
+        for part in parts:
+            merged.extend(part)
+        merged.sort()
+        out.add(tuple(merged))
+    return sorted(out)
 
 
 def reference_solve(
@@ -84,3 +108,64 @@ def reference_solve(
     if best_T is None:
         return values, SolveResult(False, None, None)
     return values, SolveResult(True, 1 + (best_worst + 1) // 2, best_T)
+
+
+class OptimalCop:
+    """Table-guided cop team: minimax placement, then moves that shrink the value.
+
+    Against the table's own optimal robber this realizes exactly the solver's
+    reported capture time. Deterministic: ties go to the lexicographically
+    smallest cop multiset, and step assignment picks the lowest legal targets.
+    """
+
+    def __init__(self, g: Graph, table: SolverTable, result: SolveResult):
+        if not result.cop_win:
+            raise ValueError("no winning placement exists for this cop count")
+        self._g = g
+        self.table = table
+        self.result = result
+
+    def place(self, g: Graph) -> tuple[int, ...]:
+        return self.result.best_initial_placement
+
+    def move(self, g: Graph, state: GameState) -> tuple[int, ...]:
+        T = tuple(sorted(state.cops))
+        r = state.robber
+        best_T2 = None
+        best_val = None
+        for T2 in joint_cop_moves(g, T):
+            val = self.table.values.get((T2, r, False))
+            if val is None:
+                continue
+            if best_val is None or val < best_val:
+                best_val = val
+                best_T2 = T2
+        if best_T2 is None:
+            raise AssertionError(f"cop-win state {T},{r} has no winning joint move")
+        return _assign_steps(g, state.cops, best_T2)
+
+
+def _assign_steps(
+    g: Graph, current: tuple[int, ...], target: tuple[int, ...]
+) -> tuple[int, ...]:
+    # Map per-cop positions onto a target multiset with stay-or-edge steps.
+    remaining = Counter(target)
+    out: list[int | None] = [None] * len(current)
+
+    def backtrack(i: int) -> bool:
+        if i == len(current):
+            return True
+        a = current[i]
+        for b in sorted(remaining):
+            if remaining[b] and (b == a or g.has_edge(a, b)):
+                remaining[b] -= 1
+                out[i] = b
+                if backtrack(i + 1):
+                    return True
+                remaining[b] += 1
+                out[i] = None
+        return False
+
+    if not backtrack(0):
+        raise AssertionError(f"no legal step assignment {current} -> {target}")
+    return tuple(out)

@@ -21,14 +21,8 @@ from copslab.gyarfas import GyarfasCop, analyze_strategy
 from copslab.induced import longest_induced_path_order, verify_induced_path
 from copslab.rng import SplitMix64
 from copslab.robbers import GreedyRobber, OptimalRobber, RandomRobber
-from copslab.solver import (
-    DEFAULT_STATE_BUDGET,
-    DEFAULT_WORK_BUDGET,
-    cop_number,
-    estimate_solver_work,
-    solve,
-    state_space_size,
-)
+from copslab.solver import solve
+from copslab.verify import verify_theorem_bound
 
 from conftest import brute_longest_induced_path, cli_env
 
@@ -50,37 +44,20 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def corpus_reports(corpus):
-    """Per-graph analysis shared by criteria 1-3: bound check, oracle, sims."""
+    """(name, verify_theorem_bound report, simulated game) per graph, shared by criteria 1-3.
+
+    The strategy plays the optimal robber wherever the report's capture-time
+    solve ran; the report keeps only that solve's result, so the robber's
+    table is solved here again.
+    """
     reports = []
     for name, g in corpus:
-        lip, _ = longest_induced_path_order(g)
-        t = max(lip + 1, 3)
-        k = t - 2
-        analysis = analyze_strategy(g, t)
-        cnum = cop_number(g, k_max=k)
-        solver_moves = None
+        rep = verify_theorem_bound(g)
         sim_outcome = None
-        feasible = (
-            estimate_solver_work(g, k) <= DEFAULT_WORK_BUDGET
-            and state_space_size(g.n, k) <= DEFAULT_STATE_BUDGET
-        )
-        if feasible:
-            table, result = solve(g, k)
-            solver_moves = result.optimal_capture_cop_moves
-            sim_outcome = play(g, GyarfasCop(t), OptimalRobber(table)).outcome
-        reports.append(
-            {
-                "name": name,
-                "g": g,
-                "lip": lip,
-                "t": t,
-                "k": k,
-                "analysis": analysis,
-                "cop_number": cnum,
-                "solver_moves": solver_moves,
-                "sim_outcome": sim_outcome,
-            }
-        )
+        if rep.solver_capture_moves is not None:
+            table, _ = solve(g, rep.t - 2)
+            sim_outcome = play(g, GyarfasCop(rep.t), OptimalRobber(table)).outcome
+        reports.append((name, rep, sim_outcome))
     return reports
 
 
@@ -93,17 +70,14 @@ def test_criterion_1_capture_bound(corpus_reports):
     """
     failures = []
     sims = 0
-    for rep in corpus_reports:
-        t = rep["t"]
-        a = rep["analysis"]
-        if not (a.captured_all and a.max_cop_moves <= t - 1):
-            failures.append((rep["name"], "worst-case", a.max_cop_moves, t))
-        if rep["sim_outcome"] is not None:
+    for name, rep, out in corpus_reports:
+        if not rep.check_strategy_bound:
+            failures.append((name, "worst-case", rep.strategy_capture_moves, rep.t))
+        if out is not None:
             sims += 1
-            out = rep["sim_outcome"]
-            if out.result != CAPTURED or out.cop_moves > t - 1:
-                failures.append((rep["name"], "optimal-robber sim", out))
-    trees = sum(1 for r in corpus_reports if r["name"].startswith("tree-"))
+            if out.result != CAPTURED or out.cop_moves > rep.t - 1:
+                failures.append((name, "optimal-robber sim", out))
+    trees = sum(1 for name, _, _ in corpus_reports if name.startswith("tree-"))
     report(
         1,
         "capture bound, t-2 cops in <= t-1 moves",
@@ -117,19 +91,17 @@ def test_criterion_2_oracle_cross_check(corpus_reports):
     """Exact solver agrees: <= t-2 cops win, strategy never beats optimal time."""
     failures = []
     compared = 0
-    for rep in corpus_reports:
-        if rep["cop_number"] is None or rep["cop_number"] > rep["t"] - 2:
-            failures.append((rep["name"], "cop_number", rep["cop_number"], rep["t"]))
-        if rep["solver_moves"] is not None:
+    for name, rep, sim in corpus_reports:
+        if rep.cop_number is None or rep.cop_number > rep.t - 2:
+            failures.append((name, "cop_number", rep.cop_number, rep.t))
+        if rep.solver_capture_moves is not None:
             compared += 1
-            if rep["analysis"].max_cop_moves < rep["solver_moves"]:
+            if rep.strategy_capture_moves < rep.solver_capture_moves:
                 failures.append(
-                    (rep["name"], "faster than optimal", rep["analysis"].max_cop_moves,
-                     rep["solver_moves"])
+                    (name, "faster than optimal", rep.strategy_capture_moves, rep.solver_capture_moves)
                 )
-            sim = rep["sim_outcome"]
-            if sim.result == CAPTURED and sim.cop_moves < rep["solver_moves"]:
-                failures.append((rep["name"], "sim faster than optimal", sim.cop_moves))
+            if sim.result == CAPTURED and sim.cop_moves < rep.solver_capture_moves:
+                failures.append((name, "sim faster than optimal", sim.cop_moves))
     report(
         2,
         "solver cross-check",
@@ -143,8 +115,8 @@ def test_criterion_3_known_cop_numbers(corpus_reports):
     """Trees 1, cycles C_4..C_12 exactly 2, Petersen exactly 3."""
     failures = []
     counts = {"tree": 0, "cycle": 0, "petersen": 0}
-    for rep in corpus_reports:
-        name, cnum = rep["name"], rep["cop_number"]
+    for name, rep, _ in corpus_reports:
+        cnum = rep.cop_number
         if name.startswith("tree-"):
             counts["tree"] += 1
             if cnum != 1:

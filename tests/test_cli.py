@@ -8,15 +8,18 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from copslab.cli import _conjecture_probe, _conjecture_status, main
+import copslab.cli as cli
+from copslab.cli import main
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
 from copslab.graphs import Graph, encode_graph6, format_edge_list
 from copslab.induced import verify_induced_path
+from copslab.verify import conjecture_probe, conjecture_status
 
 from conftest import cli_env, graphs
 
@@ -211,14 +214,30 @@ class TestVerifyTheorem:
             "unknown": 0,
         }
 
-    def test_budget_unknown_nonstrict_zero(self, capsys, c5_file):
+    def test_budget_unknown_exit_two(self, capsys, c5_file):
         rc, records = run_cli(capsys, "verify-theorem", c5_file, "--budget", "10")
-        assert rc == 0
+        assert rc == 2
         assert [r for r in records if r["type"] == "summary"][0]["unknown"] == 1
 
-    def test_budget_unknown_strict_one(self, capsys, c5_file):
-        rc, _ = run_cli(capsys, "verify-theorem", c5_file, "--budget", "10", "--strict")
-        assert rc == 1
+    @pytest.mark.parametrize("text", [None, "zzz\n"], ids=["unreadable", "parse-error"])
+    def test_unreadable_or_unparsable_exit_two(self, capsys, tmp_path, text):
+        path = tmp_path / "input.g6"
+        if text is not None:
+            path.write_text(text)
+        rc, records = run_cli(capsys, "verify-theorem", str(path))
+        assert rc == 2
+        assert records[0]["theorem_pass"] is None and "error" in records[0]
+        assert records[-1]["unknown"] == 1
+
+    def test_unknown_outranks_failed(self, capsys, monkeypatch, c5_file):
+        # exit 1 means a mathematical negative only when every record is known
+        verify = cli.verify_theorem_bound
+        monkeypatch.setattr(cli, "verify_theorem_bound",
+                            lambda g, **kw: replace(verify(g, **kw), check_strategy_bound=False))
+        rc, records = run_cli(capsys, "verify-theorem", c5_file)
+        assert rc == 1 and records[-1]["failed"] == 1
+        rc, records = run_cli(capsys, "verify-theorem", c5_file, c5_file + ".missing")
+        assert rc == 2 and (records[-1]["failed"], records[-1]["unknown"]) == (1, 1)
 
     def test_conjecture_status_matches_probe(self, capsys, tmp_path):
         graphs = [cycle_graph(5), path_graph(6), petersen_graph(), complete_graph(4)]
@@ -228,7 +247,7 @@ class TestVerifyTheorem:
         assert rc == 0
         runs = [r for r in records if r["type"] == "run"]
         assert [r["conjecture_status"] for r in runs] == [
-            _conjecture_probe(g, r["t"])[0] for g, r in zip(graphs, runs)
+            conjecture_probe(g, r["t"])[0] for g, r in zip(graphs, runs)
         ]
 
     @pytest.mark.parametrize(
@@ -236,13 +255,13 @@ class TestVerifyTheorem:
         [(4, 1, "UNKNOWN"), (5, 2, "HOLDS"), (6, 3, "HOLDS"), (6, 4, "VIOLATED"), (7, None, "VIOLATED")],
     )
     def test_conjecture_status_from_cop_number(self, t, cnum, status):
-        assert _conjecture_status(t, cnum) == status
+        assert conjecture_status(t, cnum) == status
 
     def test_disconnected_graph_marked_unknown(self, capsys, tmp_path):
         path = tmp_path / "disc.g6"
         path.write_text("A?\n")
         rc, records = run_cli(capsys, "verify-theorem", str(path))
-        assert rc == 0
+        assert rc == 2
         assert [r for r in records if r["type"] == "summary"][0]["unknown"] == 1
 
 

@@ -86,7 +86,7 @@ class TestFanOutMatchesInline:
         name, *options = command
         inline = run_with_jobs(capsys, monkeypatch, 1, name, junk_file, *options)
         assert run_with_jobs(capsys, monkeypatch, 3, name, junk_file, *options) == inline
-        assert inline[0] == 2 or name == "verify-theorem"
+        assert inline[0] == 2
 
     def test_several_files_and_fewer_graphs_than_jobs(self, capsys, monkeypatch, tmp_path, junk_file):
         two = tmp_path / "two.g6"
@@ -243,13 +243,13 @@ class TestSearchFanOut:
             def write(self, s):
                 raise BrokenPipeError
 
-        probe = cli._conjecture_probe
+        probe = cli.conjecture_probe
 
         def slow(g, t, state_budget):
             time.sleep(0.5)
             return probe(g, t, state_budget)
 
-        monkeypatch.setattr(cli, "_conjecture_probe", slow)
+        monkeypatch.setattr(cli, "conjecture_probe", slow)
         monkeypatch.setattr("sys.stdout", ClosedPipe())
         start = time.perf_counter()
         assert run_with_jobs(capsys, monkeypatch, 3, *search(6, 9, 60))[0] == 2

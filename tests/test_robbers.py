@@ -5,9 +5,10 @@ import pytest
 from copslab.engine import CAPTURED, ROBBER_SURVIVED, GameState, Side, play
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
 from copslab.robbers import GreedyRobber, OptimalRobber, RandomRobber
-from copslab.solver import OptimalCop, solve
+from copslab.solver import solve
 
 from conftest import ScriptedCop
+from reference_solver import OptimalCop
 
 
 class TestGreedy:

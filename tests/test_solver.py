@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 import copslab.solver as solver_module
-from copslab.cli import _conjecture_probe
+import copslab.verify as verify_module
 from copslab.corpus import theorem_corpus, tree_corpus
 from copslab.generators import (
     complete_graph,
@@ -23,14 +25,13 @@ from copslab.solver import (
     estimate_solver_work,
     has_dominating_set,
     is_dismantlable,
-    joint_cop_moves,
     solve,
     state_space_size,
-    verify_theorem_bound,
 )
+from copslab.verify import conjecture_probe, verify_theorem_bound
 
-from conftest import graphs
-from reference_solver import reference_solve
+from conftest import cli_env, graphs
+from reference_solver import joint_cop_moves, reference_solve
 
 
 class TestSolveKnownValues:
@@ -251,17 +252,13 @@ class TestBudgets:
             estimate_solver_work(cycle_graph(5), -1)
 
 
-class TestJointMoves:
-    def test_stacked_cops_split(self):
-        g = complete_graph(3)
-        moves = joint_cop_moves(g, (0, 0))
-        assert moves == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-    def test_moves_are_sorted_unique(self):
-        g = cycle_graph(5)
-        moves = joint_cop_moves(g, (0, 2))
-        assert moves == sorted(set(moves))
-        assert all(m == tuple(sorted(m)) for m in moves)
+def test_solver_loads_no_strategy_code():
+    code = "import sys, copslab.solver; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(),
+                          check=True)
+    loaded = set(proc.stdout.split())
+    assert "copslab.solver" in loaded
+    assert not loaded & {"copslab.gyarfas", "copslab.induced", "copslab.engine"}
 
 
 class TestTheoremBound:
@@ -293,7 +290,7 @@ class TestTheoremBound:
         assert report.cop_number == 1
         assert report.passed
 
-    def test_cop_number_solve_is_reused(self, monkeypatch):
+    def test_time_consistency_solve_calls(self, monkeypatch):
         calls = []
         real_solve = solver_module.solve
 
@@ -301,7 +298,8 @@ class TestTheoremBound:
             calls.append(k)
             return real_solve(g, k, *args)
 
-        monkeypatch.setattr(solver_module, "solve", counting_solve)
+        monkeypatch.setattr(solver_module, "solve", counting_solve)  # the cop-number search's
+        monkeypatch.setattr(verify_module, "solve", counting_solve)  # the capture-time check's
         # K_6: t = 3; dismantlability settles k = t-2 = 1, so it is solved once for its capture time
         report = verify_theorem_bound(complete_graph(6))
         assert calls == [1] and report.solver_capture_moves == 2
@@ -310,23 +308,23 @@ class TestTheoremBound:
         verify_theorem_bound(cycle_graph(5))
         assert calls == [3]
         calls.clear()
-        # C_4: t = 4; with domination off, the cop-number search solves k = t-2 = 2, which is reused
+        # C_4: t = 4; with domination off, the cop-number search solves k = t-2 = 2 for its
+        # verdict and the capture-time check solves it again for its time
         monkeypatch.setattr(solver_module, "has_dominating_set", lambda g, k: False)
         report = verify_theorem_bound(cycle_graph(4))
-        assert calls == [2] and report.cop_number == 2 and report.solver_capture_moves == 2
+        assert calls == [2, 2] and report.cop_number == 2 and report.solver_capture_moves == 2
 
     def test_cop_number_records_results(self):
-        results, settled = {}, {}
-        assert cop_number(cycle_graph(5), 3, results=results, settled=settled) == 2
-        assert results == {}  # no k needed a solve
+        settled = {}
+        assert cop_number(cycle_graph(5), 3, settled=settled) == 2
         assert settled == {1: "dismantlability", 2: "domination"}
-        results, settled = {}, {}
-        assert cop_number(petersen_graph(), 3, results=results, settled=settled) == 3
-        assert sorted(results) == [2] and not results[2].cop_win
+        settled = {}
+        assert cop_number(petersen_graph(), 3, settled=settled) == 3
         assert settled == {1: "dismantlability", 2: "solve", 3: "domination"}
 
-    def test_work_budget_skips_solver_check(self):
-        report = verify_theorem_bound(cycle_graph(12), work_budget=10)
+    def test_work_budget_skips_solver_check(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "DEFAULT_WORK_BUDGET", 10)
+        report = verify_theorem_bound(cycle_graph(12))
         assert report.solver_capture_moves is None
         assert report.solver_skip_reason is not None
         assert report.check_time_consistency is None
@@ -335,21 +333,21 @@ class TestTheoremBound:
 
 class TestConjectureProbe:
     def test_holds_on_c5(self):
-        status, evidence, _ = _conjecture_probe(cycle_graph(5), 5)
+        status, evidence, _ = conjecture_probe(cycle_graph(5), 5)
         assert status == "HOLDS"
         assert evidence["cop_number"] == 2
 
     def test_holds_trivially_on_cliques(self):
-        status, evidence, _ = _conjecture_probe(complete_graph(6), 5)
+        status, evidence, _ = conjecture_probe(complete_graph(6), 5)
         assert status == "HOLDS"
         assert evidence["cop_number"] == 1
 
     def test_unknown_below_t5(self):
-        status, evidence, _ = _conjecture_probe(complete_graph(4), 4)
+        status, evidence, _ = conjecture_probe(complete_graph(4), 4)
         assert status == "UNKNOWN"
 
     def test_unknown_on_budget(self):
-        status, evidence, _ = _conjecture_probe(petersen_graph(), 6, state_budget=10)
+        status, evidence, _ = conjecture_probe(petersen_graph(), 6, state_budget=10)
         assert status == "UNKNOWN"
         assert "budget" in evidence["reason"]
 
@@ -359,7 +357,7 @@ class TestConjectureProbe:
         # against k_max=1 via t=4 - not a real conjecture case (t<5 guards),
         # so instead check the evidence dict of a HOLDS run replays.
         g = cycle_graph(6)
-        status, evidence, _ = _conjecture_probe(g, 6)
+        status, evidence, _ = conjecture_probe(g, 6)
         assert status == "HOLDS"
         for entry in evidence["per_k"]:
             assert solve(g, entry["k"])[1].cop_win == entry["cop_win"]
