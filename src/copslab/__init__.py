@@ -12,7 +12,7 @@ strategy.
 import importlib
 
 _EXPORTS = {
-    "engine": ("GameTrace", "Outcome", "Side", "StrategyError", "play"),
+    "engine": ("GameTrace", "Outcome", "StrategyError", "play"),
     "generators": (
         "complete_graph",
         "connected_ptfree_graph",

@@ -141,7 +141,8 @@ def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):
     if spec == "random":
         return RandomRobber(fallback_seed)
     if spec.startswith("random:"):
-        return RandomRobber(int(spec.split(":", 1)[1]))
+        with contextlib.suppress(ValueError):
+            return RandomRobber(int(spec.split(":", 1)[1]))
     raise ValueError(f"unknown robber policy {spec!r} (use optimal|greedy|random:SEED)")
 
 
@@ -312,6 +313,8 @@ def cmd_lip(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.t < 3:
+        return _error(f"t must be >= 3, got {args.t}")
     try:
         g = _load_single_graph(args.file)
     except GraphFormatError as exc:
@@ -394,7 +397,8 @@ def cmd_copnumber(args: argparse.Namespace) -> int:
 
 def _verify_graph(budget: int, loc: str, g: Graph | None, err: str | None) -> tuple[str, str]:
     if err is not None:
-        return "unknown", _line({"type": "run", "graph": loc, "error": err, "theorem_pass": None})
+        return "unknown", _line({"type": "run", "graph": loc, "error": err, "theorem_pass": None,
+                                 "conjecture_status": "UNKNOWN"})
     try:
         report = verify_theorem_bound(g, state_budget=budget)
     except (SolverBudgetError, ValueError) as exc:

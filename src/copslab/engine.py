@@ -7,12 +7,22 @@ win the moment any cop occupies the robber's vertex.
 
 Move counting: the initial cop placement is cop move 1. A capture after the
 robber steps onto a cop is charged to the preceding cop move.
+
+Trace format: `GameTrace.events` holds one JSON-ready dict per event, the
+records that `simulate` prints between its header and its outcome, keyed by
+"type":
+
+  cop_placement     positions, cop_move (always 1)
+  robber_placement  vertex
+  cop_move          steps (one [from, to] per cop), cop_move
+  robber_move       from, to
+  capture           vertex, cop (the capturing cop's index), cop_move
+  illegal_action    side ("cops" or "robber"), detail
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Protocol
 
 from .graphs import Graph, encode_graph6
@@ -20,11 +30,6 @@ from .graphs import Graph, encode_graph6
 CAPTURED = "captured"
 ROBBER_SURVIVED = "robber_survived"
 STRATEGY_FAILURE = "strategy_failure"
-
-
-class Side(Enum):
-    COPS = "cops"
-    ROBBER = "robber"
 
 
 class StrategyError(Exception):
@@ -42,12 +47,10 @@ class StrategyError(Exception):
 
 @dataclass(frozen=True)
 class GameState:
-    """Snapshot handed to strategies: full information, immutable."""
+    """Snapshot handed to a strategy's move: full information, immutable."""
 
     cops: tuple[int, ...]
-    robber: int | None
-    side_to_move: Side
-    cop_moves_made: int
+    robber: int
 
 
 class CopStrategy(Protocol):
@@ -63,45 +66,6 @@ class RobberStrategy(Protocol):
 
 
 @dataclass(frozen=True)
-class CopPlacement:
-    positions: tuple[int, ...]
-    cop_move: int = 1
-
-
-@dataclass(frozen=True)
-class RobberPlacement:
-    vertex: int
-
-
-@dataclass(frozen=True)
-class CopMove:
-    steps: tuple[tuple[int, int], ...]  # per-cop (from, to)
-    cop_move: int
-
-
-@dataclass(frozen=True)
-class RobberMove:
-    src: int
-    dst: int
-
-
-@dataclass(frozen=True)
-class Capture:
-    vertex: int
-    cop: int
-    cop_move: int
-
-
-@dataclass(frozen=True)
-class IllegalAction:
-    side: str
-    detail: str
-
-
-Event = CopPlacement | RobberPlacement | CopMove | RobberMove | Capture | IllegalAction
-
-
-@dataclass(frozen=True)
 class Outcome:
     result: str  # CAPTURED | ROBBER_SURVIVED | STRATEGY_FAILURE
     cop_moves: int | None = None
@@ -113,12 +77,12 @@ class Outcome:
 class GameTrace:
     graph: Graph
     t: int | None
-    events: list[Event] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
     outcome: Outcome | None = None
 
     def to_records(self) -> list[dict]:
         """JSONL-ready dicts: one header, one per event, one outcome."""
-        g = self.graph
+        g, o = self.graph, self.outcome
         header = {
             "type": "header",
             "n": g.n,
@@ -126,34 +90,9 @@ class GameTrace:
             "graph6": encode_graph6(g) if g.n <= 62 else None,
             "t": self.t,
         }
-        records = [header]
-        for ev in self.events:
-            records.append(_event_record(ev))
-        out = {"type": "outcome", "result": self.outcome.result}
-        if self.outcome.cop_moves is not None:
-            out["cop_moves"] = self.outcome.cop_moves
-        if self.outcome.reason is not None:
-            out["reason"] = self.outcome.reason
-        if self.outcome.certificate is not None:
-            out["certificate"] = list(self.outcome.certificate)
-        records.append(out)
-        return records
-
-
-def _event_record(ev: Event) -> dict:
-    if isinstance(ev, CopPlacement):
-        return {"type": "cop_placement", "positions": list(ev.positions), "cop_move": ev.cop_move}
-    if isinstance(ev, RobberPlacement):
-        return {"type": "robber_placement", "vertex": ev.vertex}
-    if isinstance(ev, CopMove):
-        return {"type": "cop_move", "steps": [list(s) for s in ev.steps], "cop_move": ev.cop_move}
-    if isinstance(ev, RobberMove):
-        return {"type": "robber_move", "from": ev.src, "to": ev.dst}
-    if isinstance(ev, Capture):
-        return {"type": "capture", "vertex": ev.vertex, "cop": ev.cop, "cop_move": ev.cop_move}
-    if isinstance(ev, IllegalAction):
-        return {"type": "illegal_action", "side": ev.side, "detail": ev.detail}
-    raise TypeError(f"unknown event {ev!r}")
+        out = {"type": "outcome", "result": o.result, "cop_moves": o.cop_moves, "reason": o.reason,
+               "certificate": None if o.certificate is None else list(o.certificate)}
+        return [header, *self.events, {key: v for key, v in out.items() if v is not None}]
 
 
 def play(
@@ -169,7 +108,8 @@ def play(
     places onto a cop, or after the robber steps onto a cop. Without capture
     the game stops after `move_limit` cop moves (default 4n) with outcome
     ROBBER_SURVIVED. An illegal strategy action yields STRATEGY_FAILURE with
-    the offending event in the trace.
+    the offending event in the trace, and a StrategyError raised by either
+    side yields STRATEGY_FAILURE with its reason and certificate.
     """
     if g.n == 0 or not g.is_connected():
         raise ValueError("play requires a connected, non-empty graph")
@@ -178,77 +118,64 @@ def play(
     if move_limit < 1:
         raise ValueError(f"move_limit must be >= 1, got {move_limit}")
     trace = GameTrace(graph=g, t=getattr(cop, "t", None))
-
-    def fail(side: str, detail: str) -> GameTrace:
-        trace.events.append(IllegalAction(side, detail))
-        trace.outcome = Outcome(STRATEGY_FAILURE, reason=detail)
-        return trace
-
     try:
-        cops = tuple(cop.place(g))
+        trace.outcome = _referee(g, cop, robber, move_limit, trace.events)
     except StrategyError as exc:
         trace.outcome = Outcome(STRATEGY_FAILURE, reason=exc.reason, certificate=exc.certificate)
-        return trace
-    if not cops or any(not 0 <= c < g.n for c in cops):
-        return fail("cops", f"illegal cop placement {cops}")
-    cop_moves = 1
-    trace.events.append(CopPlacement(cops, cop_moves))
+    return trace
 
-    try:
-        r = robber.place(g, cops)
-    except StrategyError as exc:
-        trace.outcome = Outcome(STRATEGY_FAILURE, reason=exc.reason, certificate=exc.certificate)
-        return trace
-    if not 0 <= r < g.n:
-        return fail("robber", f"illegal robber placement {r}")
-    trace.events.append(RobberPlacement(r))
-    if r in cops:
-        trace.events.append(Capture(r, cops.index(r), cop_moves))
-        trace.outcome = Outcome(CAPTURED, cop_moves=cop_moves)
-        return trace
 
-    while True:
-        if cop_moves >= move_limit:
-            trace.outcome = Outcome(ROBBER_SURVIVED, cop_moves=cop_moves)
-            return trace
+def _referee(
+    g: Graph, cop: CopStrategy, robber: RobberStrategy, move_limit: int, events: list[dict]
+) -> Outcome:
+    """Alternate cop and robber turns, placements first, appending each event."""
 
-        state = GameState(cops, r, Side.COPS, cop_moves)
-        try:
-            new_cops = tuple(cop.move(g, state))
-        except StrategyError as exc:
-            trace.outcome = Outcome(
-                STRATEGY_FAILURE, reason=exc.reason, certificate=exc.certificate
-            )
-            return trace
-        if len(new_cops) != len(cops):
-            return fail("cops", f"cop count changed {len(cops)} -> {len(new_cops)}")
-        for i, (a, b) in enumerate(zip(cops, new_cops)):
-            if not 0 <= b < g.n or (a != b and not g.has_edge(a, b)):
-                return fail("cops", f"cop {i} illegal step {a} -> {b}")
-        cop_moves += 1
-        trace.events.append(CopMove(tuple(zip(cops, new_cops)), cop_moves))
+    def illegal(side: str, detail: str) -> Outcome:
+        events.append({"type": "illegal_action", "side": side, "detail": detail})
+        return Outcome(STRATEGY_FAILURE, reason=detail)
+
+    cops: tuple[int, ...] = ()
+    r: int | None = None
+    cop_moves = 0
+    while cop_moves < move_limit:
+        if cop_moves == 0:
+            new_cops = tuple(cop.place(g))
+            if not new_cops or any(not 0 <= c < g.n for c in new_cops):
+                return illegal("cops", f"illegal cop placement {new_cops}")
+            events.append({"type": "cop_placement", "positions": list(new_cops), "cop_move": 1})
+        else:
+            new_cops = tuple(cop.move(g, GameState(cops, r)))
+            if len(new_cops) != len(cops):
+                return illegal("cops", f"cop count changed {len(cops)} -> {len(new_cops)}")
+            for i, (a, b) in enumerate(zip(cops, new_cops)):
+                if not 0 <= b < g.n or (a != b and not g.has_edge(a, b)):
+                    return illegal("cops", f"cop {i} illegal step {a} -> {b}")
+            steps = [[a, b] for a, b in zip(cops, new_cops)]
+            events.append({"type": "cop_move", "steps": steps, "cop_move": cop_moves + 1})
         cops = new_cops
+        cop_moves += 1
         if r in cops:
-            trace.events.append(Capture(r, cops.index(r), cop_moves))
-            trace.outcome = Outcome(CAPTURED, cop_moves=cop_moves)
-            return trace
+            return _capture(events, cops, r, cop_moves)
 
-        state = GameState(cops, r, Side.ROBBER, cop_moves)
-        try:
-            r_new = robber.move(g, state)
-        except StrategyError as exc:
-            trace.outcome = Outcome(
-                STRATEGY_FAILURE, reason=exc.reason, certificate=exc.certificate
-            )
-            return trace
-        if not 0 <= r_new < g.n or (r_new != r and not g.has_edge(r, r_new)):
-            return fail("robber", f"robber illegal step {r} -> {r_new}")
-        trace.events.append(RobberMove(r, r_new))
-        r = r_new
+        if r is None:
+            r = robber.place(g, cops)
+            if not 0 <= r < g.n:
+                return illegal("robber", f"illegal robber placement {r}")
+            events.append({"type": "robber_placement", "vertex": r})
+        else:
+            r_new = robber.move(g, GameState(cops, r))
+            if not 0 <= r_new < g.n or (r_new != r and not g.has_edge(r, r_new)):
+                return illegal("robber", f"robber illegal step {r} -> {r_new}")
+            events.append({"type": "robber_move", "from": r, "to": r_new})
+            r = r_new
         if r in cops:
-            trace.events.append(Capture(r, cops.index(r), cop_moves))
-            trace.outcome = Outcome(CAPTURED, cop_moves=cop_moves)
-            return trace
+            return _capture(events, cops, r, cop_moves)
+    return Outcome(ROBBER_SURVIVED, cop_moves=cop_moves)
+
+
+def _capture(events: list[dict], cops: tuple[int, ...], r: int, cop_moves: int) -> Outcome:
+    events.append({"type": "capture", "vertex": r, "cop": cops.index(r), "cop_move": cop_moves})
+    return Outcome(CAPTURED, cop_moves=cop_moves)
 
 
 def trace_to_dot(trace: GameTrace) -> str:
@@ -259,20 +186,23 @@ def trace_to_dot(trace: GameTrace) -> str:
     """
     g = trace.graph
     tags: dict[int, list[str]] = {v: [] for v in range(g.n)}
+    last_cop_move = 1
     for ev in trace.events:
-        if isinstance(ev, CopPlacement):
-            for i, v in enumerate(ev.positions):
-                tags[v].append(f"c{i}@{ev.cop_move}")
-        elif isinstance(ev, RobberPlacement):
-            tags[ev.vertex].append("r@1")
-        elif isinstance(ev, CopMove):
-            for i, (a, b) in enumerate(ev.steps):
+        kind = ev["type"]
+        if kind == "cop_placement":
+            for i, v in enumerate(ev["positions"]):
+                tags[v].append(f"c{i}@1")
+        elif kind == "robber_placement":
+            tags[ev["vertex"]].append("r@1")
+        elif kind == "cop_move":
+            last_cop_move = ev["cop_move"]
+            for i, (a, b) in enumerate(ev["steps"]):
                 if a != b:
-                    tags[b].append(f"c{i}@{ev.cop_move}")
-        elif isinstance(ev, RobberMove):
-            tags[ev.dst].append(f"r@{_last_cop_move(trace, ev)}")
-        elif isinstance(ev, Capture):
-            tags[ev.vertex].append(f"capture@{ev.cop_move}")
+                    tags[b].append(f"c{i}@{last_cop_move}")
+        elif kind == "robber_move":
+            tags[ev["to"]].append(f"r@{last_cop_move}")
+        elif kind == "capture":
+            tags[ev["vertex"]].append(f"capture@{ev['cop_move']}")
     lines = ["graph trace {"]
     for v in range(g.n):
         label = str(v) if not tags[v] else f"{v} | {' '.join(tags[v])}"
@@ -281,13 +211,3 @@ def trace_to_dot(trace: GameTrace) -> str:
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _last_cop_move(trace: GameTrace, upto: Event) -> int:
-    last = 1
-    for ev in trace.events:
-        if isinstance(ev, (CopPlacement, CopMove)):
-            last = ev.cop_move
-        if ev is upto:
-            break
-    return last

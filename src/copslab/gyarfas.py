@@ -24,7 +24,6 @@ from .engine import GameState, StrategyError
 from .graphs import Graph, closed_neighborhood, components_within, shortest_path_within
 from .induced import verify_induced_path
 
-PLACING = "placing"
 ADVANCING = "advancing"
 CAPTURING = "capturing"
 
@@ -61,10 +60,6 @@ class GyarfasState:
     def cop_positions(self) -> tuple[int, ...]:
         tip = len(self.path) - 1
         return tuple(self.path[min(j, tip)] for j in range(self.cop_count))
-
-    def cop_anchor(self, j: int) -> int:
-        """Index of the anchor cop j currently stands on."""
-        return min(j, len(self.path) - 1)
 
 
 def initial_placement(
@@ -182,7 +177,7 @@ class GyarfasCop:
         return positions
 
     def move(self, g: Graph, state: GameState) -> tuple[int, ...]:
-        assert self.state is not None and state.robber is not None
+        assert self.state is not None
         positions, self.state = cop_turn(g, self.state, state.robber)
         self.history.append(self.state)
         return positions

@@ -36,21 +36,11 @@ class GreedyRobber:
     """Maximizes the minimum graph distance to any cop; ties to the lowest vertex."""
 
     def place(self, g: Graph, cops: tuple[int, ...]) -> int:
-        dist = _distances(g, cops)
-        best = 0
-        for v in range(1, g.n):
-            if dist[v] > dist[best]:
-                best = v
-        return best
+        return max(range(g.n), key=_distances(g, cops).__getitem__)
 
     def move(self, g: Graph, state: GameState) -> int:
-        r = state.robber
-        dist = _distances(g, state.cops)
-        best = None
-        for v in sorted({r} | g.adj[r]):
-            if best is None or dist[v] > dist[best]:
-                best = v
-        return best
+        options = sorted({state.robber} | g.adj[state.robber])
+        return max(options, key=_distances(g, state.cops).__getitem__)
 
 
 class RandomRobber:
@@ -88,23 +78,17 @@ class OptimalRobber:
     def place(self, g: Graph, cops: tuple[int, ...]) -> int:
         if len(cops) != self.table.k:
             raise ValueError(f"table solved for k={self.table.k}, game has {len(cops)} cops")
+        return self._best(cops, range(g.n))
+
+    def move(self, g: Graph, state: GameState) -> int:
+        return self._best(state.cops, sorted({state.robber} | g.adj[state.robber]))
+
+    def _best(self, cops: tuple[int, ...], options) -> int:
+        """The first option scored a robber win, else the first with the longest capture time."""
         T = tuple(sorted(cops))
         best = None
         best_val = -1
-        for r in range(g.n):
-            val = self.table.values.get((T, r, True))
-            if val is None:
-                return r
-            if val > best_val:
-                best, best_val = r, val
-        return best
-
-    def move(self, g: Graph, state: GameState) -> int:
-        T = tuple(sorted(state.cops))
-        r = state.robber
-        best = None
-        best_val = -1
-        for v in sorted({r} | g.adj[r]):
+        for v in options:
             val = self.table.values.get((T, v, True))
             if val is None:
                 return v

@@ -155,9 +155,20 @@ class TestSimulate:
         assert rc == 2
 
     def test_t_below_three_exit_two(self, capsys, c5_file):
-        rc, records = run_cli(capsys, "simulate", c5_file, "--t", "2")
+        # one message whatever the robber, checked before the graph is read
+        for robber in ("greedy", "random", "random:7", "optimal"):
+            for t in (2, 1, 0):
+                rc, records = run_cli(capsys, "simulate", c5_file, "--t", str(t), "--robber", robber)
+                assert rc == 2
+                assert records == [{"type": "error", "error": f"t must be >= 3, got {t}"}]
+        rc, records = run_cli(capsys, "simulate", c5_file + ".missing", "--t", "2")
+        assert rc == 2 and records == [{"type": "error", "error": "t must be >= 3, got 2"}]
+
+    def test_malformed_random_seed_exit_two(self, capsys, c5_file):
+        rc, records = run_cli(capsys, "simulate", c5_file, "--t", "5", "--robber", "random:x")
         assert rc == 2
-        assert records == [{"type": "error", "error": "t must be >= 3, got 2"}]
+        assert records == [{"type": "error", "error": "unknown robber policy 'random:x' "
+                                                      "(use optimal|greedy|random:SEED)"}]
 
     def test_optimal_robber_over_work_budget_exit_two(self, capsys, tmp_path):
         # the k=7 solve would need ~1.36e11 move enumerations against a 1e7 budget
@@ -169,6 +180,74 @@ class TestSimulate:
         assert time.perf_counter() - start < 1.0
         assert rc == 2
         assert records[-1]["type"] == "error" and "budget" in records[-1]["error"]
+
+
+# simulate's exact stdout on C_5: the cops' stack climbs 0 -> 1 -> 2 and the robber,
+# from 2, runs to 3, where the third cop catches it on cop move 4 (t = 5); with t = 4
+# the two anchors leave the robber free and the strategy reports the path 0-1-2-3.
+C5_T5_JSONL = """\
+{"graph6":"Dhc","m":5,"n":5,"t":5,"type":"header"}
+{"cop_move":1,"positions":[0,0,0],"type":"cop_placement"}
+{"type":"robber_placement","vertex":2}
+{"cop_move":2,"steps":[[0,0],[0,1],[0,1]],"type":"cop_move"}
+{"from":2,"to":3,"type":"robber_move"}
+{"cop_move":3,"steps":[[0,0],[1,1],[1,2]],"type":"cop_move"}
+{"from":3,"to":3,"type":"robber_move"}
+{"cop_move":4,"steps":[[0,0],[1,1],[2,3]],"type":"cop_move"}
+{"cop":2,"cop_move":4,"type":"capture","vertex":3}
+{"cop_moves":4,"result":"captured","type":"outcome"}
+{"cop_positions":[0,0,0],"path":[0],"phase":"advancing","territory":null,"type":"strategy_state"}
+{"cop_positions":[0,1,1],"path":[0,1],"phase":"advancing","territory":[2,3],"type":"strategy_state"}
+{"cop_positions":[0,1,2],"path":[0,1,2],"phase":"advancing","territory":[3],"type":"strategy_state"}
+{"cop_positions":[0,1,2],"path":[0,1,2],"phase":"capturing","territory":[3],"type":"strategy_state"}
+"""
+
+C5_T4_JSONL = """\
+{"graph6":"Dhc","m":5,"n":5,"t":4,"type":"header"}
+{"cop_move":1,"positions":[0,0],"type":"cop_placement"}
+{"type":"robber_placement","vertex":2}
+{"cop_move":2,"steps":[[0,0],[0,1]],"type":"cop_move"}
+{"from":2,"to":3,"type":"robber_move"}
+{"certificate":[0,1,2,3],"reason":"graph contains an induced path on 4 vertices","result":"strategy_failure","type":"outcome"}
+{"cop_positions":[0,0],"path":[0],"phase":"advancing","territory":null,"type":"strategy_state"}
+{"cop_positions":[0,1],"path":[0,1],"phase":"advancing","territory":[2,3],"type":"strategy_state"}
+"""
+
+C5_T5_DOT = """\
+graph trace {
+  0 [label="0 | c0@1 c1@1 c2@1"];
+  1 [label="1 | c1@2 c2@2"];
+  2 [label="2 | r@1 c2@3"];
+  3 [label="3 | r@2 r@3 c2@4 capture@4"];
+  4 [label="4"];
+  0 -- 1;
+  0 -- 4;
+  1 -- 2;
+  2 -- 3;
+  3 -- 4;
+}
+"""
+
+
+class TestSimulateGolden:
+    @pytest.fixture
+    def dhc(self, tmp_path):
+        path = tmp_path / "c5.g6"
+        path.write_text("Dhc\n")
+        return str(path)
+
+    @pytest.mark.parametrize("robber", ["greedy", "random:42", "optimal"])
+    def test_capture(self, capsys, dhc, robber):
+        assert main(["simulate", dhc, "--t", "5", "--robber", robber]) == 0
+        assert capsys.readouterr().out == C5_T5_JSONL
+
+    def test_strategy_failure_with_certificate(self, capsys, dhc):
+        assert main(["simulate", dhc, "--t", "4"]) == 1
+        assert capsys.readouterr().out == C5_T4_JSONL
+
+    def test_dot(self, capsys, dhc):
+        assert main(["simulate", dhc, "--t", "5", "--format", "dot"]) == 0
+        assert capsys.readouterr().out == C5_T5_DOT
 
 
 class TestSolveAndCopnumber:
@@ -227,6 +306,7 @@ class TestVerifyTheorem:
         rc, records = run_cli(capsys, "verify-theorem", str(path))
         assert rc == 2
         assert records[0]["theorem_pass"] is None and "error" in records[0]
+        assert records[0]["conjecture_status"] == "UNKNOWN"
         assert records[-1]["unknown"] == 1
 
     def test_unknown_outranks_failed(self, capsys, monkeypatch, c5_file):

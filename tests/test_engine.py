@@ -6,13 +6,9 @@ from copslab.engine import (
     CAPTURED,
     ROBBER_SURVIVED,
     STRATEGY_FAILURE,
-    Capture,
-    CopMove,
-    CopPlacement,
     GameTrace,
-    IllegalAction,
-    RobberMove,
-    RobberPlacement,
+    Outcome,
+    StrategyError,
     play,
     trace_to_dot,
 )
@@ -28,29 +24,30 @@ def replay_legal(trace: GameTrace) -> None:
     cops = None
     robber = None
     for ev in trace.events:
-        if isinstance(ev, CopPlacement):
-            cops = ev.positions
+        kind = ev["type"]
+        if kind == "cop_placement":
+            cops = tuple(ev["positions"])
             assert all(0 <= c < g.n for c in cops)
-        elif isinstance(ev, RobberPlacement):
-            robber = ev.vertex
+        elif kind == "robber_placement":
+            robber = ev["vertex"]
             assert 0 <= robber < g.n
-        elif isinstance(ev, CopMove):
-            assert len(ev.steps) == len(cops)
-            for (a, b), prev in zip(ev.steps, cops):
+        elif kind == "cop_move":
+            assert len(ev["steps"]) == len(cops)
+            for (a, b), prev in zip(ev["steps"], cops):
                 assert a == prev
                 assert a == b or g.has_edge(a, b)
-            cops = tuple(b for _, b in ev.steps)
-        elif isinstance(ev, RobberMove):
-            assert ev.src == robber
-            assert ev.src == ev.dst or g.has_edge(ev.src, ev.dst)
-            robber = ev.dst
-        elif isinstance(ev, Capture):
-            assert robber == ev.vertex
-            assert cops[ev.cop] == ev.vertex
+            cops = tuple(b for _, b in ev["steps"])
+        elif kind == "robber_move":
+            assert ev["from"] == robber
+            assert ev["from"] == ev["to"] or g.has_edge(ev["from"], ev["to"])
+            robber = ev["to"]
+        elif kind == "capture":
+            assert robber == ev["vertex"]
+            assert cops[ev["cop"]] == ev["vertex"]
     if trace.outcome.result == CAPTURED:
         assert robber in cops
         assert trace.outcome.cop_moves == sum(
-            1 for ev in trace.events if isinstance(ev, (CopPlacement, CopMove))
+            1 for ev in trace.events if ev["type"] in ("cop_placement", "cop_move")
         )
     else:
         assert robber is None or robber not in (cops or ())
@@ -98,7 +95,7 @@ class TestIllegalActions:
     def test_illegal_cop_step(self):
         trace = play(path_graph(4), ScriptedCop((0,), [(2,)]), ScriptedRobber(3))
         assert trace.outcome.result == STRATEGY_FAILURE
-        assert any(isinstance(ev, IllegalAction) for ev in trace.events)
+        assert any(ev["type"] == "illegal_action" for ev in trace.events)
         assert "cop 0" in trace.outcome.reason
 
     def test_illegal_cop_count_change(self):
@@ -114,6 +111,18 @@ class TestIllegalActions:
     def test_illegal_placement(self):
         trace = play(path_graph(4), ScriptedCop((9,)), ScriptedRobber(3))
         assert trace.outcome.result == STRATEGY_FAILURE
+
+    @pytest.mark.parametrize("at_placement", [True, False], ids=["place", "move"])
+    def test_robber_strategy_error(self, at_placement):
+        def give_up(*args):
+            raise StrategyError("gave up", (2, 3))
+
+        robber = ScriptedRobber(3)
+        setattr(robber, "place" if at_placement else "move", give_up)
+        trace = play(path_graph(4), ScriptedCop((0,)), robber)
+        assert trace.outcome == Outcome(STRATEGY_FAILURE, reason="gave up", certificate=(2, 3))
+        kinds = ["cop_placement"] if at_placement else ["cop_placement", "robber_placement", "cop_move"]
+        assert [ev["type"] for ev in trace.events] == kinds
 
 
 class TestDeterminism:

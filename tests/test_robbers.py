@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from copslab.engine import CAPTURED, ROBBER_SURVIVED, GameState, Side, play
+from copslab.engine import CAPTURED, ROBBER_SURVIVED, GameState, play
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
 from copslab.robbers import GreedyRobber, OptimalRobber, RandomRobber
 from copslab.solver import solve
@@ -19,11 +19,11 @@ class TestGreedy:
         assert GreedyRobber().place(complete_graph(4), (0,)) == 1
 
     def test_stay_when_already_farthest(self):
-        state = GameState(cops=(0,), robber=2, side_to_move=Side.ROBBER, cop_moves_made=1)
+        state = GameState(cops=(0,), robber=2)
         assert GreedyRobber().move(path_graph(3), state) == 2
 
     def test_runs_away_on_cycle(self):
-        state = GameState(cops=(1,), robber=2, side_to_move=Side.ROBBER, cop_moves_made=1)
+        state = GameState(cops=(1,), robber=2)
         assert GreedyRobber().move(cycle_graph(6), state) == 3
 
     def test_all_vertices_covered_forces_capture(self):
@@ -38,7 +38,7 @@ class TestRandom:
         b = RandomRobber(7)
         g = cycle_graph(8)
         assert a.place(g, (0,)) == b.place(g, (0,))
-        state = GameState((0,), 4, Side.ROBBER, 1)
+        state = GameState((0,), 4)
         assert [a.move(g, state) for _ in range(10)] == [b.move(g, state) for _ in range(10)]
 
     def test_never_places_on_cop_when_avoidable(self):
@@ -48,7 +48,7 @@ class TestRandom:
 
     def test_moves_are_legal_and_avoid_cops(self):
         g = cycle_graph(6)
-        state = GameState((3,), 4, Side.ROBBER, 2)
+        state = GameState((3,), 4)
         for seed in range(30):
             v = RandomRobber(seed).move(g, state)
             assert v in {4} | g.adj[4]
