@@ -366,10 +366,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
     )
     if args.dump_table:
-        with open(args.dump_table, "w") as fh:
-            for (T, r, cops_to_move), m in sorted(table.values.items()):
-                side = "C" if cops_to_move else "R"
-                fh.write(f"cops={','.join(map(str, T))} robber={r} side={side} m={m}\n")
+        try:
+            with open(args.dump_table, "w") as fh:
+                for (T, r, cops_to_move), m in sorted(table.values.items()):
+                    side = "C" if cops_to_move else "R"
+                    fh.write(f"cops={','.join(map(str, T))} robber={r} side={side} m={m}\n")
+        except OSError as exc:
+            return _error(f"cannot write {args.dump_table}: {exc.strerror or exc}")
     return OK
 
 

@@ -54,13 +54,12 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
-    rng = SplitMix64(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    return _gnp(n, p, SplitMix64(seed))
+
+
+def _gnp(n: int, p: float, rng: SplitMix64) -> Graph:
+    """G(n, p) from the next n(n-1)/2 draws of `rng`, one per pair in lexicographic order."""
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
 def connected_ptfree_graph(
@@ -86,12 +85,7 @@ def connected_ptfree_graph(
     p = min(1.5 / n, 0.9)
     stuck = 0
     for _ in range(max_attempts):
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j))
-        g = Graph.from_edges(n, edges)
+        g = _gnp(n, p, rng)
         if g.is_connected() and is_pt_free(g, t)[0]:
             return g
         if p >= 0.9:

@@ -4,12 +4,17 @@ Vertices are dense integers 0..n-1. Graphs are immutable after construction
 and safe to share between workers. Every tie-break in this repo is "lowest
 vertex index first" so that downstream strategies and traces are fully
 deterministic.
+
+This module owns traversal and the bitmask views: every breadth-first search
+in the package is `distances_within`, and bitset code reads N(v) and N[v] from
+`Graph.nbr_masks` and `Graph.closed_masks`, built once per graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 VertexSet = frozenset[int]
 
@@ -64,17 +69,18 @@ class Graph:
         return len(self.adj[v])
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return self.n <= 1 or len(distances_within(self, [0])) == self.n
+
+    # Cached outside the dataclass fields, so `==`, `hash` and `repr` ignore them.
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        """N(v) as a bitmask, for every vertex v."""
+        return tuple(sum(1 << u for u in near) for near in self.adj)
+
+    @cached_property
+    def closed_masks(self) -> tuple[int, ...]:
+        """N[v] as a bitmask, for every vertex v."""
+        return tuple(mask | 1 << v for v, mask in enumerate(self.nbr_masks))
 
 
 def closed_neighborhood(g: Graph, v: int) -> VertexSet:
@@ -82,6 +88,27 @@ def closed_neighborhood(g: Graph, v: int) -> VertexSet:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
     return frozenset(g.adj[v] | {v})
+
+
+def distances_within(g: Graph, sources, region: VertexSet | None = None) -> dict[int, int]:
+    """Distance from the nearest source of each vertex it reaches, inside `region` (None: all of g).
+
+    Vertices are listed in the order the breadth-first search reaches them.
+    """
+    dist = {}
+    for s in sources:
+        if not 0 <= s < g.n or (region is not None and s not in region):
+            raise ValueError(f"source {s} is not a vertex of the region")
+        dist[s] = 0
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        d = dist[u] + 1
+        for w in g.adj[u]:
+            if w not in dist and (region is None or w in region):
+                dist[w] = d
+                queue.append(w)
+    return dist
 
 
 def components_within(g: Graph, region: VertexSet) -> list[VertexSet]:
@@ -92,22 +119,12 @@ def components_within(g: Graph, region: VertexSet) -> list[VertexSet]:
     bad = [v for v in region if not 0 <= v < g.n]
     if bad:
         raise ValueError(f"region vertices {sorted(bad)} out of range for n={g.n}")
-    remaining = set(region)
+    seen: set[int] = set()
     out: list[VertexSet] = []
     for seed in sorted(region):
-        if seed not in remaining:
-            continue
-        comp = {seed}
-        remaining.discard(seed)
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+        if seed not in seen:
+            out.append(frozenset(distances_within(g, [seed], region)))
+            seen |= out[-1]
     return out
 
 
@@ -123,14 +140,7 @@ def shortest_path_within(
         raise ValueError(f"endpoints {src},{dst} must lie in the region")
     # BFS from dst gives distances; a greedy lowest-index walk from src along
     # strictly decreasing distances is the lexicographically smallest optimum.
-    dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w in region and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    dist = distances_within(g, [dst], region)
     if src not in dist:
         return None
     path = [src]

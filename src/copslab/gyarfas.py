@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .engine import GameState, StrategyError
-from .graphs import Graph, closed_neighborhood, components_within, shortest_path_within
+from .graphs import Graph, closed_neighborhood, distances_within, shortest_path_within
 from .induced import verify_induced_path
 
 ADVANCING = "advancing"
@@ -108,21 +108,14 @@ def cop_turn(
         raise NotPtFreeError(state.t, _escape_certificate(g, state, robber))
 
     tip = state.path[-1]
-    tip_closed = closed_neighborhood(g, tip)
-    if state.territory is None:
-        region = frozenset(range(g.n)) - tip_closed
-        candidates = g.adj[tip]
-    else:
-        if robber not in state.territory:
-            raise AssertionError(
-                f"invariant violation: robber {robber} outside territory and all "
-                f"anchor neighborhoods (path {state.path})"
-            )
-        region = state.territory - tip_closed
-        candidates = g.adj[tip] & state.territory
-
-    new_territory = _component_of(g, region, robber)
-    viable = [w for w in sorted(candidates) if g.adj[w] & new_territory]
+    territory = frozenset(range(g.n)) if state.territory is None else state.territory
+    if robber not in territory:
+        raise AssertionError(
+            f"invariant violation: robber {robber} outside territory and all "
+            f"anchor neighborhoods (path {state.path})"
+        )
+    new_territory = frozenset(distances_within(g, [robber], territory - closed_neighborhood(g, tip)))
+    viable = [w for w in sorted(g.adj[tip] & territory) if g.adj[w] & new_territory]
     if not viable:
         # Connectivity of the territory guarantees a viable next anchor exists.
         raise AssertionError(
@@ -136,13 +129,6 @@ def cop_turn(
         phase=ADVANCING,
     )
     return new_state.cop_positions(), new_state
-
-
-def _component_of(g: Graph, region: frozenset[int], v: int) -> frozenset[int]:
-    for comp in components_within(g, region):
-        if v in comp:
-            return comp
-    raise AssertionError(f"vertex {v} not in region {sorted(region)}")
 
 
 def _escape_certificate(g: Graph, state: GyarfasState, robber: int) -> tuple[int, ...]:

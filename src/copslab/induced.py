@@ -74,10 +74,7 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
     with `cap` it returns the first path of `cap` vertices.
     """
     n = g.n
-    nbr = [0] * n
-    for v in range(n):
-        for u in g.adj[v]:
-            nbr[v] |= 1 << u
+    nbr = g.nbr_masks
     best_order = known
     best_path = None
     full = (1 << n) - 1
@@ -166,7 +163,7 @@ class _Flood:
 
     __slots__ = ("reach", "size", "whole", "ends")
 
-    def __init__(self, nbr: list[int], cand: int, free: int, limit: int):
+    def __init__(self, nbr: tuple[int, ...], cand: int, free: int, limit: int):
         layer = 0
         todo = cand
         while todo:
@@ -209,7 +206,7 @@ class _Flood:
         child.ends = None if self.ends is None else self.ends & ~tip_nbr
         return child
 
-    def cannot_improve(self, nbr: list[int], cand: int, room: int, first: int) -> bool:
+    def cannot_improve(self, nbr: tuple[int, ...], cand: int, room: int, first: int) -> bool:
         """Whether no extension by more than `room` vertices fits in the whole flood.
 
         An extension has at most 1 + size vertices. Within 2 of `room` the

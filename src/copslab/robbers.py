@@ -9,38 +9,24 @@ play, which can only under-, never overstate how long a best robber lasts.
 
 from __future__ import annotations
 
-from collections import deque
+from math import inf
 
 from .engine import GameState
-from .graphs import Graph
+from .graphs import Graph, distances_within
 from .rng import SplitMix64
 from .solver import SolverTable
 
 
-def _distances(g: Graph, sources) -> list[float]:
-    dist: list[float] = [float("inf")] * g.n
-    queue = deque()
-    for s in set(sources):
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if dist[w] == float("inf"):
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 class GreedyRobber:
-    """Maximizes the minimum graph distance to any cop; ties to the lowest vertex."""
+    """Maximizes the minimum graph distance to any cop (none reaching it: infinite); ties to the lowest vertex."""
 
     def place(self, g: Graph, cops: tuple[int, ...]) -> int:
-        return max(range(g.n), key=_distances(g, cops).__getitem__)
+        dist = distances_within(g, cops)
+        return max(range(g.n), key=lambda v: dist.get(v, inf))
 
     def move(self, g: Graph, state: GameState) -> int:
-        options = sorted({state.robber} | g.adj[state.robber])
-        return max(options, key=_distances(g, state.cops).__getitem__)
+        dist = distances_within(g, state.cops)
+        return max(sorted({state.robber} | g.adj[state.robber]), key=lambda v: dist.get(v, inf))
 
 
 class RandomRobber:

@@ -172,7 +172,7 @@ def solve(
     multisets, moves = _ranked_joint_moves(g, k)
     ranks = range(len(multisets))
     full = (1 << n) - 1
-    reach = [(1 << v) | sum(1 << u for u in g.adj[v]) for v in range(n)]  # N[v] as a bitmask
+    reach = g.closed_masks
     occ = []
     C = []  # ply 1: every cop stays or steps, so the cops cover N[T]
     for T in multisets:
@@ -232,17 +232,6 @@ def solve(
     return table, SolveResult(True, 1 + (best_ply + 1) // 2, multisets[best_T])
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    """N[v] as a bitmask, for every vertex v."""
-    masks = []
-    for v, near in enumerate(g.adj):
-        mask = 1 << v
-        for u in near:
-            mask |= 1 << u
-        masks.append(mask)
-    return masks
-
-
 def is_dismantlable(g: Graph) -> bool:
     """Whether one cop wins on the connected graph g (Nowakowski-Winkler; Quilliot).
 
@@ -251,7 +240,7 @@ def is_dismantlable(g: Graph) -> bool:
     corners are peeled off in any order until one vertex is left or none is
     a corner. Since u is in N[u], its dominator v is one of its neighbours.
     """
-    closed = _closed_masks(g)
+    closed = g.closed_masks
     alive, left = (1 << g.n) - 1, g.n
     peeled = True
     while peeled and left > 1:
@@ -280,7 +269,7 @@ def has_dominating_set(g: Graph, k: int) -> bool:
     k-cop solve ranks.
     """
     full = (1 << g.n) - 1
-    return any(reduce(or_, sets) == full for sets in combinations(_closed_masks(g), k))
+    return any(reduce(or_, sets) == full for sets in combinations(g.closed_masks, k))
 
 
 def cop_number(

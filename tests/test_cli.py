@@ -269,6 +269,14 @@ class TestSolveAndCopnumber:
         lines = dump.read_text().splitlines()
         assert lines and all("side=" in ln for ln in lines)
 
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_dump_table_unwritable_exit_two(self, capsys, tmp_path, c5_file, where):
+        dump = tmp_path / "absent" / "table.txt" if where == "missing_parent" else tmp_path
+        rc, records = run_cli(capsys, "solve", c5_file, "--cops", "1", "--dump-table", str(dump))
+        assert rc == 2
+        reason = "No such file or directory" if where == "missing_parent" else "Is a directory"
+        assert records[-1] == {"type": "error", "error": f"cannot write {dump}: {reason}"}
+
     def test_copnumber(self, capsys, c5_file):
         rc, records = run_cli(capsys, "copnumber", c5_file)
         assert rc == 0 and records[0]["cop_number"] == 2

@@ -23,6 +23,7 @@ from copslab.graphs import (
     GraphFormatError,
     closed_neighborhood,
     components_within,
+    distances_within,
     encode_graph6,
     format_edge_list,
     parse_edge_list,
@@ -47,6 +48,15 @@ def _bfs_distances(g: Graph, src: int) -> dict[int, int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def _induced(g: Graph, region: frozenset[int]) -> Graph:
+    """g with every edge that leaves `region` removed, so a search from inside stays inside."""
+    return Graph.from_edges(g.n, [(u, v) for u, v in g.edges() if u in region and v in region])
+
+
+def _draw_region(g: Graph, data) -> frozenset[int]:
+    return frozenset(v for v in range(g.n) if data.draw(st.booleans(), label=f"keep{v}"))
 
 
 def _all_shortest_paths(g: Graph, src: int, dst: int) -> list[list[int]]:
@@ -129,15 +139,62 @@ class TestComponentsWithin:
 
     @given(graphs(max_n=9), st.data())
     def test_matches_union_find(self, g, data):
-        region = frozenset(
-            v for v in range(g.n) if data.draw(st.booleans(), label=f"keep{v}")
-        )
+        region = _draw_region(g, data)
         assert components_within(g, region) == uf_components(g, region)
 
     @given(graphs(max_n=9))
     def test_single_component_iff_connected(self, g):
         comps = components_within(g, frozenset(range(g.n)))
         assert (len(comps) == 1) == (g.n > 0 and g.is_connected())
+
+
+class TestDistancesWithin:
+    def test_nearest_of_two_sources(self):
+        assert distances_within(path_graph(5), [0, 4]) == {0: 0, 4: 0, 1: 1, 3: 1, 2: 2}
+
+    def test_region_cuts_the_cycle(self):
+        assert distances_within(cycle_graph(6), [0], frozenset({0, 1, 2, 4})) == {0: 0, 1: 1, 2: 2}
+
+    def test_no_sources(self):
+        assert distances_within(path_graph(3), []) == {}
+
+    @pytest.mark.parametrize("source,region", [(3, None), (-1, None), (2, frozenset({0, 1}))])
+    def test_source_outside_region(self, source, region):
+        with pytest.raises(ValueError, match="source"):
+            distances_within(path_graph(3), [source], region)
+
+    @given(graphs(min_n=1, max_n=9), st.data())
+    def test_nearest_source_within_random_region(self, g, data):
+        region = _draw_region(g, data)
+        if not region:
+            return
+        sources = data.draw(st.lists(st.sampled_from(sorted(region)), min_size=1, max_size=4))
+        sub = _induced(g, region)
+        singles = [_bfs_distances(sub, s) for s in sources]
+        expected = {
+            v: min(d[v] for d in singles if v in d) for v in range(g.n) if any(v in d for d in singles)
+        }
+        assert distances_within(g, sources, region) == expected
+        if region == frozenset(range(g.n)):
+            assert distances_within(g, sources) == expected
+
+
+class TestMaskViews:
+    @given(graphs(max_n=12))
+    def test_masks_match_adjacency(self, g):
+        assert len(g.nbr_masks) == len(g.closed_masks) == g.n
+        for v in range(g.n):
+            assert {u for u in range(g.n) if g.nbr_masks[v] >> u & 1} == g.adj[v]
+            assert {u for u in range(g.n) if g.closed_masks[v] >> u & 1} == closed_neighborhood(g, v)
+
+    @given(graphs(max_n=12))
+    def test_reading_masks_leaves_equality_and_hash(self, g):
+        twin = Graph.from_edges(g.n, g.edges())
+        before = (hash(g), repr(g))
+        assert g.nbr_masks is g.nbr_masks and g.closed_masks is g.closed_masks  # built once
+        assert (hash(g), repr(g)) == before
+        assert g == twin and hash(g) == hash(twin)
+        assert {g, twin} == {twin}
 
 
 class TestShortestPathWithin:
@@ -166,19 +223,21 @@ class TestShortestPathWithin:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert shortest_path_within(g, frozenset(range(4)), 0, 3) == [0, 1, 3]
 
-    @given(graphs(min_n=2, max_n=9))
-    def test_path_is_valid_and_minimal(self, g):
-        region = frozenset(range(g.n))
+    @given(graphs(min_n=2, max_n=9), st.data())
+    def test_path_is_valid_and_minimal(self, g, data):
+        region = _draw_region(g, data)
         comps = components_within(g, region)
         by_vertex = {v: c for c in comps for v in c}
-        for src in range(g.n):
-            dist = _bfs_distances(g, src)
-            for dst in range(g.n):
+        sub = _induced(g, region)
+        for src in sorted(region):
+            dist = _bfs_distances(sub, src)
+            for dst in sorted(region):
                 path = shortest_path_within(g, region, src, dst)
                 if by_vertex[src] is not by_vertex[dst]:
                     assert path is None
                     continue
                 assert path[0] == src and path[-1] == dst
+                assert set(path) <= region
                 assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
                 assert len(set(path)) == len(path)
                 assert len(path) - 1 == dist[dst]
