@@ -26,8 +26,6 @@ _EXPORTS = {
     "graphs": (
         "Graph",
         "GraphFormatError",
-        "closed_neighborhood",
-        "components_within",
         "encode_graph6",
         "format_edge_list",
         "parse_edge_list",

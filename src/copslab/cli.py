@@ -111,14 +111,9 @@ def _parsed(loc: str, parser, text: str) -> tuple[str, Graph | None, str | None]
         return (loc if parser is parse_graph6 else f"{loc}:{exc.offset}"), None, str(exc)
 
 
-def _load_graphs(paths: list[str]):
-    """Yield (location, Graph | None, error | None) over all input files."""
-    for item in _inputs(paths):
-        yield _parsed(*item)
-
-
 def _load_single_graph(path: str) -> Graph:
-    for _, g, err in _load_graphs([path]):
+    for item in _inputs([path]):
+        _, g, err = _parsed(*item)
         if err is not None:
             raise GraphFormatError(err)
         return g
@@ -343,12 +338,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         g = _load_single_graph(args.file)
+    except GraphFormatError as exc:
+        return _error(str(exc))
+    try:  # before the solve, so an unwritable path costs no solve
+        created = args.dump_table and not os.path.lexists(args.dump_table)
+        dump = open(args.dump_table, "a") if args.dump_table else None  # emptied once solved
+    except OSError as exc:
+        return _error(f"cannot write {args.dump_table}: {exc.strerror or exc}")
+    table = None
+    try:
         table, result = solve(g, args.cops, state_budget=args.budget)
-    except (GraphFormatError, ValueError) as exc:
+    except ValueError as exc:
         return _error(str(exc))
     except SolverBudgetError as exc:
         _emit({"type": "error", "error": str(exc), "required_budget": exc.required})
         return ERROR
+    finally:
+        if dump is not None and table is None:  # the solve failed: delete only a file it made
+            dump.close()
+            if created:
+                with contextlib.suppress(OSError):
+                    os.remove(args.dump_table)
     _emit(
         {
             "type": "solve",
@@ -365,12 +375,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
             ),
         }
     )
-    if args.dump_table:
+    if dump is not None:
         try:
-            with open(args.dump_table, "w") as fh:
+            with dump:
+                if os.path.isfile(args.dump_table):
+                    dump.truncate(0)
                 for (T, r, cops_to_move), m in sorted(table.values.items()):
                     side = "C" if cops_to_move else "R"
-                    fh.write(f"cops={','.join(map(str, T))} robber={r} side={side} m={m}\n")
+                    dump.write(f"cops={','.join(map(str, T))} robber={r} side={side} m={m}\n")
         except OSError as exc:
             return _error(f"cannot write {args.dump_table}: {exc.strerror or exc}")
     return OK
@@ -490,12 +502,9 @@ def cmd_conjecture_search(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 0:
         return _error(f"count must be >= 0, got {args.count}")
-    parts = [args.kind, *args.params]
-    if args.kind == "connected_ptfree":
-        if args.t is None:
-            return _error("connected_ptfree needs --t")
-        parts = [args.kind, *args.params, str(args.t)]
-    spec = " ".join(parts)
+    if (args.kind == "connected_ptfree") != (args.t is not None):
+        return _error("connected_ptfree needs --t" if args.t is None else "--t applies only to connected_ptfree")
+    spec = " ".join([args.kind, *args.params, *([] if args.t is None else [str(args.t)])])
     for i in range(args.count):
         try:
             g = generate(spec, seed=args.seed + i)
@@ -513,7 +522,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first `main` call.
+
+    Parsing leaves the parser as it was, and argparse looks up sys.stdout and
+    sys.stderr when it writes, so every call behaves as in a fresh process.
+    """
     parser = argparse.ArgumentParser(
         prog="copslab",
         description="Pursuit-evasion lab: freeness checks, strategy simulation, exact solving.",
@@ -586,16 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first `main` call.
-
-    Parsing leaves the parser as it was, and argparse looks up sys.stdout and
-    sys.stderr when it writes, so every call behaves as in a fresh process.
-    """
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

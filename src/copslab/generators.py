@@ -13,6 +13,9 @@ from .induced import is_pt_free
 from .rng import SplitMix64
 
 
+MAX_ATTEMPTS = 10_000  # G(n, p) draws `connected_ptfree_graph` makes before it gives up
+
+
 class GenerationError(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
 
@@ -62,9 +65,7 @@ def _gnp(n: int, p: float, rng: SplitMix64) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
-def connected_ptfree_graph(
-    n: int, t: int, seed: int, max_attempts: int = 10_000
-) -> Graph:
+def connected_ptfree_graph(n: int, t: int, seed: int) -> Graph:
     """Rejection-sample G(n,p) until connected and free of induced t-vertex paths.
 
     p starts at 1.5/n and adapts: any rejection doubles p (capped at 0.9),
@@ -84,7 +85,7 @@ def connected_ptfree_graph(
     rng = SplitMix64(seed)
     p = min(1.5 / n, 0.9)
     stuck = 0
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         g = _gnp(n, p, rng)
         if g.is_connected() and is_pt_free(g, t)[0]:
             return g
@@ -96,8 +97,20 @@ def connected_ptfree_graph(
             p = min(p * 2, 0.9)
     raise GenerationError(
         f"no connected graph without induced {t}-vertex paths found on n={n} "
-        f"in {max_attempts} attempts; try different n or t"
+        f"in {MAX_ATTEMPTS} attempts; try different n or t"
     )
+
+
+# kind -> (builder, parameter types, seeded); a seeded builder takes the seed last
+_KINDS = {
+    "path": (path_graph, (int,), False),
+    "cycle": (cycle_graph, (int,), False),
+    "complete": (complete_graph, (int,), False),
+    "star": (star_graph, (int,), False),
+    "petersen": (petersen_graph, (), False),
+    "gnp": (gnp_random_graph, (int, float), True),
+    "connected_ptfree": (connected_ptfree_graph, (int, int), True),
+}
 
 
 def generate(spec: str, seed: int = 0) -> Graph:
@@ -109,25 +122,17 @@ def generate(spec: str, seed: int = 0) -> Graph:
     parts = spec.split()
     if not parts:
         raise ValueError("empty generator spec")
-    kind, args = parts[0], parts[1:]
+    kind, params = parts[0], parts[1:]
+    if kind not in _KINDS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    builder, types, seeded = _KINDS[kind]
     try:
-        if kind == "path":
-            return path_graph(int(args[0]))
-        if kind == "cycle":
-            return cycle_graph(int(args[0]))
-        if kind == "complete":
-            return complete_graph(int(args[0]))
-        if kind == "star":
-            return star_graph(int(args[0]))
-        if kind == "petersen":
-            return petersen_graph()
-        if kind == "gnp":
-            return gnp_random_graph(int(args[0]), float(args[1]), seed)
-        if kind == "connected_ptfree":
-            return connected_ptfree_graph(int(args[0]), int(args[1]), seed)
-    except (IndexError, ValueError) as exc:
+        if len(params) != len(types):
+            raise ValueError(f"{kind} takes {len(types)} parameter(s), got {len(params)}")
+        args = [convert(p) for convert, p in zip(types, params)]
+        return builder(*args, seed) if seeded else builder(*args)
+    except ValueError as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from None
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def _check_n(n: int) -> None:

@@ -83,13 +83,6 @@ class Graph:
         return tuple(mask | 1 << v for v, mask in enumerate(self.nbr_masks))
 
 
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    """N[v]: all neighbors of v together with v itself."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return frozenset(g.adj[v] | {v})
-
-
 def distances_within(g: Graph, sources, region: VertexSet | None = None) -> dict[int, int]:
     """Distance from the nearest source of each vertex it reaches, inside `region` (None: all of g).
 
@@ -109,23 +102,6 @@ def distances_within(g: Graph, sources, region: VertexSet | None = None) -> dict
                 dist[w] = d
                 queue.append(w)
     return dist
-
-
-def components_within(g: Graph, region: VertexSet) -> list[VertexSet]:
-    """Connected components of the subgraph induced on `region`.
-
-    Returned in ascending order of each component's minimum vertex.
-    """
-    bad = [v for v in region if not 0 <= v < g.n]
-    if bad:
-        raise ValueError(f"region vertices {sorted(bad)} out of range for n={g.n}")
-    seen: set[int] = set()
-    out: list[VertexSet] = []
-    for seed in sorted(region):
-        if seed not in seen:
-            out.append(frozenset(distances_within(g, [seed], region)))
-            seen |= out[-1]
-    return out
 
 
 def shortest_path_within(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .engine import GameState, StrategyError
-from .graphs import Graph, closed_neighborhood, distances_within, shortest_path_within
+from .graphs import Graph, distances_within, shortest_path_within
 from .induced import verify_induced_path
 
 ADVANCING = "advancing"
@@ -114,7 +114,7 @@ def cop_turn(
             f"invariant violation: robber {robber} outside territory and all "
             f"anchor neighborhoods (path {state.path})"
         )
-    new_territory = frozenset(distances_within(g, [robber], territory - closed_neighborhood(g, tip)))
+    new_territory = frozenset(distances_within(g, [robber], territory - g.adj[tip] - {tip}))
     viable = [w for w in sorted(g.adj[tip] & territory) if g.adj[w] & new_territory]
     if not viable:
         # Connectivity of the territory guarantees a viable next anchor exists.
@@ -206,33 +206,33 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
     certificate.
     """
     positions0, state0 = initial_placement(g, t, v0_rule)
-    cover = set(positions0)
     memo: dict[tuple, int] = {}
-
-    def worst(state: GyarfasState, r: int) -> int:
-        # Cop moves still needed, cops about to move, robber on r (not on a cop).
-        key = (state.path, state.territory, r)
-        if key in memo:
-            return memo[key]
-        moves, nxt = cop_turn(g, state, r)
-        if r in moves:
-            memo[key] = 1
-            return 1
-        occupied = set(moves)
-        best = 1  # forced suicide floor: stepping onto a cop ends at this move
-        for r2 in sorted({r} | g.adj[r]):
-            if r2 in occupied:
-                continue
-            best = max(best, 1 + worst(nxt, r2))
-        memo[key] = best
-        return best
-
+    # Depth first over frames [key, cops' next state, robber replies left, most cop
+    # moves so far], kept in a list rather than on the call stack, so no game is too
+    # long to search. The bottom frame is the placement (cop move 1); its replies
+    # are the robber's starting vertices. A frame starts at 1, the robber's forced
+    # suicide when every reply is occupied.
+    stack = [[None, state0, iter(sorted(set(range(g.n)) - set(positions0))), 1]]
+    value = None  # cop moves still needed from the state just searched, cops to move
     try:
-        total = 1  # placement is cop move 1; covers the everything-occupied case
-        for r0 in range(g.n):
-            if r0 in cover:
+        while stack:
+            frame = stack[-1]
+            if value is not None:
+                frame[3] = max(frame[3], 1 + value)
+            r = next(frame[2], None)
+            if r is None:  # every reply searched
+                value = stack.pop()[3]
+                if stack:
+                    memo[frame[0]] = value
                 continue
-            total = max(total, 1 + worst(state0, r0))
+            key = (frame[1].path, frame[1].territory, r)
+            value = memo.get(key)
+            if value is None:
+                moves, nxt = cop_turn(g, frame[1], r)
+                if r in moves:
+                    memo[key] = value = 1
+                else:
+                    stack.append([key, nxt, iter(sorted(({r} | g.adj[r]) - set(moves))), 1])
     except NotPtFreeError as exc:
         return StrategyAnalysis(t, False, None, exc.certificate, len(memo))
-    return StrategyAnalysis(t, True, total, None, len(memo))
+    return StrategyAnalysis(t, True, value, None, len(memo))

@@ -1,10 +1,10 @@
 """Reference input loader: each file read whole, then split with str.splitlines.
 
-This is the package's previous `copslab.cli._load_graphs`, kept as an oracle
-for differential tests of the loader that reads graph6 files a line at a
-time. Locations are `path:lineno` with lines numbered as `str.splitlines`
-numbers them; an edge-list file is one graph at `path`, or `path:offset`
-when it does not parse.
+This is an earlier version of the package's input loader, kept as an oracle
+for differential tests of `copslab.cli._inputs` and `_parsed`, which read
+graph6 files a line at a time. Locations are `path:lineno` with lines
+numbered as `str.splitlines` numbers them; an edge-list file is one graph at
+`path`, or `path:offset` when it does not parse.
 """
 
 from __future__ import annotations

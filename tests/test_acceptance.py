@@ -201,8 +201,13 @@ def test_criterion_5_failure_certificates():
 
 
 def test_criterion_6_conjecture_probe():
-    """The t-3 search completes and emits replayable records; its verdict is
-    recorded, never asserted - the underlying question is open."""
+    """The t-3 search completes and emits replayable records, none VIOLATED.
+
+    At t = 5 the verdict is known: graphs without an induced P_5 have cop
+    number at most 2 = t-3 (Chudnovsky, Norin, Seymour and Turcotte), so a
+    VIOLATED record here points to a bug. At t >= 6 the question is open and
+    the search's verdicts are recorded, not asserted.
+    """
     proc = subprocess.run(
         [sys.executable, "-m", "copslab.cli", "conjecture-search", "--t", "5",
          "--n", "9", "--samples", "200", "--seed", str(CONJECTURE_SEED)],
@@ -234,9 +239,11 @@ def test_criterion_6_conjecture_probe():
             for entry in r["evidence"]["per_k"]:
                 if solve(g, entry["k"])[1].cop_win != entry["cop_win"]:
                     failures.append(("evidence mismatch", r["graph6"], entry))
+    if statuses["VIOLATED"]:
+        failures.append(("P5-free graphs need at most 2 cops", statuses["VIOLATED"], "violated"))
     report(
         6,
-        "conjecture probe (outcome recorded, not asserted)",
+        "conjecture probe (t = 5: none violated)",
         failures,
         f"200 samples at t=5, n=9: {statuses['HOLDS']} hold, "
         f"{statuses['VIOLATED']} violated, {statuses['UNKNOWN']} unknown",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import copslab.cli as cli
 from copslab.cli import main
+from copslab.corpus import theorem_corpus
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
 from copslab.graphs import Graph, encode_graph6, format_edge_list
 from copslab.induced import verify_induced_path
@@ -270,12 +272,55 @@ class TestSolveAndCopnumber:
         assert lines and all("side=" in ln for ln in lines)
 
     @pytest.mark.parametrize("where", ["missing_parent", "directory"])
-    def test_dump_table_unwritable_exit_two(self, capsys, tmp_path, c5_file, where):
+    def test_dump_table_unwritable_exit_two(self, capsys, monkeypatch, tmp_path, c5_file, where):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the table path was checked")
+
+        monkeypatch.setattr(cli, "solve", never)
         dump = tmp_path / "absent" / "table.txt" if where == "missing_parent" else tmp_path
         rc, records = run_cli(capsys, "solve", c5_file, "--cops", "1", "--dump-table", str(dump))
         assert rc == 2
         reason = "No such file or directory" if where == "missing_parent" else "Is a directory"
-        assert records[-1] == {"type": "error", "error": f"cannot write {dump}: {reason}"}
+        assert records == [{"type": "error", "error": f"cannot write {dump}: {reason}"}]
+
+    @pytest.mark.parametrize("argv", [["--cops", "0"], ["--cops", "2", "--budget", "5"]],
+                             ids=["bad-k", "over-budget"])
+    def test_failed_solve_leaves_no_table(self, capsys, tmp_path, c5_file, argv):
+        dump = tmp_path / "table.txt"
+        rc, records = run_cli(capsys, "solve", c5_file, *argv, "--dump-table", str(dump))
+        assert rc == 2 and [r["type"] for r in records] == ["error"]
+        assert not dump.exists()
+
+    @pytest.mark.parametrize("argv", [["--cops", "0"], ["--cops", "2", "--budget", "5"]],
+                             ids=["bad-k", "over-budget"])
+    def test_failed_solve_keeps_an_existing_table(self, capsys, tmp_path, c5_file, argv):
+        dump = tmp_path / "table.txt"
+        dump.write_text("old table\n")
+        rc, records = run_cli(capsys, "solve", c5_file, *argv, "--dump-table", str(dump))
+        assert rc == 2 and [r["type"] for r in records] == ["error"]
+        assert dump.read_text() == "old table\n"
+
+    def test_failed_solve_keeps_a_symlinked_table(self, capsys, tmp_path, c5_file):
+        target = tmp_path / "target.txt"
+        target.write_text("old table\n")
+        dump = tmp_path / "link.txt"
+        dump.symlink_to(target)
+        rc, _ = run_cli(capsys, "solve", c5_file, "--cops", "0", "--dump-table", str(dump))
+        assert rc == 2
+        assert dump.is_symlink() and target.read_text() == "old table\n"
+
+    def test_solve_replaces_an_existing_table(self, capsys, tmp_path, c5_file):
+        dump = tmp_path / "table.txt"
+        dump.write_text("old\n" * 10_000)
+        rc, _ = run_cli(capsys, "solve", c5_file, "--cops", "1", "--dump-table", str(dump))
+        assert rc == 0
+        fresh = tmp_path / "fresh.txt"
+        run_cli(capsys, "solve", c5_file, "--cops", "1", "--dump-table", str(fresh))
+        assert dump.read_text() == fresh.read_text()
+
+    def test_solve_writes_a_table_to_a_device(self, capsys, c5_file):
+        rc, _ = run_cli(capsys, "solve", c5_file, "--cops", "1", "--dump-table", os.devnull)
+        assert rc == 0
 
     def test_copnumber(self, capsys, c5_file):
         rc, records = run_cli(capsys, "copnumber", c5_file)
@@ -423,6 +468,32 @@ class TestGen:
     def test_bad_params_exit_two(self, capsys):
         rc, records = run_cli(capsys, "gen", "path")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv,spec",
+        [
+            (["connected_ptfree", "9", "5", "--t", "7"], "connected_ptfree 9 5 7"),
+            (["path", "5", "7"], "path 5 7"),
+            (["petersen", "3"], "petersen 3"),
+            (["gnp", "10"], "gnp 10"),
+        ],
+        ids=["ptfree-extra", "path-extra", "petersen-extra", "gnp-missing"],
+    )
+    def test_wrong_parameter_count_exit_two(self, capsys, argv, spec):
+        rc, records = run_cli(capsys, "gen", *argv)
+        assert rc == 2
+        assert len(records) == 1 and records[0]["error"].startswith(f"bad generator spec {spec!r}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["path", "5", "--t", "7"], ["path", "--t", "5"], ["star", "--t", "7"],
+         ["gnp", "10", "--t", "1"]],
+        ids=["path-extra-t", "path-t-as-n", "star-t-as-n", "gnp-t-as-p"],
+    )
+    def test_t_for_another_kind_exit_two(self, capsys, argv):
+        rc, records = run_cli(capsys, "gen", *argv)
+        assert rc == 2
+        assert records == [{"type": "error", "error": "--t applies only to connected_ptfree"}]
 
     def test_large_graph_emitted_as_edge_list(self, capsys, tmp_path):
         rc = main(["gen", "path", "70"])
@@ -603,6 +674,18 @@ class TestExitCodeFuzz:
 
 
 class TestByteDeterminism:
+    def test_standard_corpus_output_digest(self, capsys, monkeypatch, tmp_path):
+        # The whole JSONL of the standard corpus, pinned. A change that alters it on
+        # purpose updates this digest and says why.
+        (tmp_path / "corpus.g6").write_text("".join(encode_graph6(g) + "\n" for _, g in theorem_corpus()))
+        monkeypatch.chdir(tmp_path)  # records name the input as it was given
+        rc = main(["verify-theorem", "corpus.g6"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1adc675a6da0e904fbc032fc9812629772bc112a336f91b21bab5f821088517d"
+        )
+
     def test_verify_theorem_twice_identical(self, tmp_path):
         corpus = tmp_path / "c.g6"
         corpus.write_text(encode_graph6(cycle_graph(5)) + "\n" + encode_graph6(path_graph(4)) + "\n")

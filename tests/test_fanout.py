@@ -318,7 +318,7 @@ def input_texts(draw):
 class TestStreamingLoader:
     @staticmethod
     def same_as_reference(paths):
-        assert list(cli._load_graphs(paths)) == list(reference_load_graphs(paths))
+        assert [cli._parsed(*item) for item in cli._inputs(paths)] == list(reference_load_graphs(paths))
 
     @given(texts=st.lists(input_texts(), min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -349,7 +349,7 @@ class TestStreamingLoader:
         path = tmp_path / "g.edges"
         path.write_text("# header\n\n  # more\n3 2\n# inside\n0 1\n1 2\n")
         self.same_as_reference([str(path)])
-        (loc, g, err), = cli._load_graphs([str(path)])
+        (loc, g, err), = [cli._parsed(*item) for item in cli._inputs([str(path)])]
         assert (loc, g.n, g.m, err) == (str(path), 3, 2, None)
 
     def test_invalid_utf8_is_unreadable(self, tmp_path):

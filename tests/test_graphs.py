@@ -21,8 +21,6 @@ from copslab.graphs import (
     MAX_EDGE_LIST_VERTICES,
     Graph,
     GraphFormatError,
-    closed_neighborhood,
-    components_within,
     distances_within,
     encode_graph6,
     format_edge_list,
@@ -100,51 +98,55 @@ class TestGraphBasics:
                 assert v in g.adj[u]
 
 
+def _bits(mask: int) -> set[int]:
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
 class TestClosedNeighborhood:
+    """N[v], read as `Graph.closed_masks[v]`."""
+
     def test_center_of_p3(self):
-        assert closed_neighborhood(path_graph(3), 1) == {0, 1, 2}
+        assert _bits(path_graph(3).closed_masks[1]) == {0, 1, 2}
 
     def test_complete_graph(self):
-        assert closed_neighborhood(complete_graph(4), 0) == {0, 1, 2, 3}
+        assert _bits(complete_graph(4).closed_masks[0]) == {0, 1, 2, 3}
 
     def test_cycle_wraparound(self):
-        assert closed_neighborhood(cycle_graph(5), 0) == {0, 1, 4}
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            closed_neighborhood(path_graph(3), 3)
+        assert _bits(cycle_graph(5).closed_masks[0]) == {0, 1, 4}
 
 
 class TestComponentsWithin:
+    """The component of a region that holds a vertex: what `distances_within` reaches from it."""
+
+    @staticmethod
+    def component(g: Graph, region: frozenset[int], v: int) -> frozenset[int]:
+        return frozenset(distances_within(g, [v], region))
+
     def test_connected_arc(self):
-        assert components_within(cycle_graph(5), frozenset({1, 2, 3, 4})) == [
-            frozenset({1, 2, 3, 4})
-        ]
+        region = frozenset({1, 2, 3, 4})
+        assert self.component(cycle_graph(5), region, 3) == region
 
     def test_isolated_vertices(self):
-        assert components_within(path_graph(5), frozenset({0, 2, 4})) == [
-            frozenset({0}),
-            frozenset({2}),
-            frozenset({4}),
-        ]
+        g = path_graph(5)
+        assert [self.component(g, frozenset({0, 2, 4}), v) for v in (0, 2, 4)] == [{0}, {2}, {4}]
 
     def test_two_arcs(self):
-        assert components_within(cycle_graph(6), frozenset({0, 1, 3, 4})) == [
-            frozenset({0, 1}),
-            frozenset({3, 4}),
-        ]
+        g, region = cycle_graph(6), frozenset({0, 1, 3, 4})
+        assert [self.component(g, region, v) for v in (1, 3)] == [{0, 1}, {3, 4}]
 
     def test_empty_region(self):
-        assert components_within(path_graph(3), frozenset()) == []
+        assert distances_within(path_graph(3), [], frozenset()) == {}
 
     @given(graphs(max_n=9), st.data())
     def test_matches_union_find(self, g, data):
         region = _draw_region(g, data)
-        assert components_within(g, region) == uf_components(g, region)
+        for comp in uf_components(g, region):
+            for v in comp:
+                assert self.component(g, region, v) == comp
 
     @given(graphs(max_n=9))
     def test_single_component_iff_connected(self, g):
-        comps = components_within(g, frozenset(range(g.n)))
+        comps = uf_components(g, frozenset(range(g.n)))
         assert (len(comps) == 1) == (g.n > 0 and g.is_connected())
 
 
@@ -185,7 +187,7 @@ class TestMaskViews:
         assert len(g.nbr_masks) == len(g.closed_masks) == g.n
         for v in range(g.n):
             assert {u for u in range(g.n) if g.nbr_masks[v] >> u & 1} == g.adj[v]
-            assert {u for u in range(g.n) if g.closed_masks[v] >> u & 1} == closed_neighborhood(g, v)
+            assert {u for u in range(g.n) if g.closed_masks[v] >> u & 1} == g.adj[v] | {v}
 
     @given(graphs(max_n=12))
     def test_reading_masks_leaves_equality_and_hash(self, g):
@@ -226,7 +228,7 @@ class TestShortestPathWithin:
     @given(graphs(min_n=2, max_n=9), st.data())
     def test_path_is_valid_and_minimal(self, g, data):
         region = _draw_region(g, data)
-        comps = components_within(g, region)
+        comps = uf_components(g, region)
         by_vertex = {v: c for c in comps for v in c}
         sub = _induced(g, region)
         for src in sorted(region):
@@ -433,10 +435,11 @@ class TestGenerators:
         assert is_pt_free(g, 5)[0]
         assert g == connected_ptfree_graph(9, 5, 2026)
 
-    def test_connected_ptfree_exhaustion(self):
+    def test_connected_ptfree_exhaustion(self, monkeypatch):
         # a connected cograph (no induced P_4) on 40 vertices: G(n, p <= 0.9) all but never gives one
-        with pytest.raises(GenerationError, match="attempts"):
-            connected_ptfree_graph(40, 4, 7, max_attempts=25)
+        monkeypatch.setattr("copslab.generators.MAX_ATTEMPTS", 25)
+        with pytest.raises(GenerationError, match="in 25 attempts"):
+            connected_ptfree_graph(40, 4, 7)
 
     def test_connected_ptfree_t3_is_complete(self):
         # connected without induced P_3 means complete, so no sampling is needed

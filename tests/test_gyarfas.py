@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,6 @@ from copslab.generators import (
     path_graph,
     star_graph,
 )
-from copslab.graphs import closed_neighborhood
 from copslab.gyarfas import (
     ADVANCING,
     CAPTURING,
@@ -100,6 +102,16 @@ class TestCaptureBound:
         a = analyze_strategy(path_graph(1), 3)
         assert a.captured_all and a.max_cop_moves == 1
 
+    def test_long_path_needs_no_recursion(self):
+        # a game on P_150 lasts 150 cop moves, deeper than the headroom left here
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            a = analyze_strategy(path_graph(150), 151)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (a.captured_all, a.max_cop_moves, a.states_explored) == (True, 150, 11175)
+
     def test_robber_placed_in_first_neighborhood(self):
         trace = play(cycle_graph(5), GyarfasCop(5), ScriptedRobber(1))
         assert trace.outcome.result == CAPTURED
@@ -186,7 +198,7 @@ class TestStateInvariants:
                 assert g.adj[tip] & state.territory
                 if prev is not None and prev.territory is not None and state.phase == ADVANCING:
                     prev_tip = prev.path[-1]
-                    assert state.territory <= prev.territory - closed_neighborhood(g, prev_tip)
+                    assert state.territory <= prev.territory - (g.adj[prev_tip] | {prev_tip})
             prev = state
 
     def test_anchor_cop_accounting_on_c5(self):
