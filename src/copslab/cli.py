@@ -310,10 +310,7 @@ def cmd_lip(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.t < 3:
         return _error(f"t must be >= 3, got {args.t}")
-    try:
-        g = _load_single_graph(args.file)
-    except GraphFormatError as exc:
-        return _error(str(exc))
+    g = _load_single_graph(args.file)
     if not g.is_connected() or g.n == 0:
         return _error("simulate requires a connected graph")
     try:
@@ -336,29 +333,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g = _load_single_graph(args.file)
-    except GraphFormatError as exc:
-        return _error(str(exc))
-    try:  # before the solve, so an unwritable path costs no solve
-        created = args.dump_table and not os.path.lexists(args.dump_table)
-        dump = open(args.dump_table, "a") if args.dump_table else None  # emptied once solved
-    except OSError as exc:
-        return _error(f"cannot write {args.dump_table}: {exc.strerror or exc}")
-    table = None
+    g = _load_single_graph(args.file)
+    if args.dump_table:
+        try:  # probe the path before the solve, so an unwritable one costs no solve
+            created = not os.path.lexists(args.dump_table)
+            open(args.dump_table, "a").close()
+            if created:
+                os.remove(args.dump_table)
+        except OSError as exc:
+            return _error(f"cannot write {args.dump_table}: {exc.strerror or exc}")
     try:
         table, result = solve(g, args.cops, state_budget=args.budget)
     except ValueError as exc:
         return _error(str(exc))
-    except SolverBudgetError as exc:
-        _emit({"type": "error", "error": str(exc), "required_budget": exc.required})
-        return ERROR
-    finally:
-        if dump is not None and table is None:  # the solve failed: delete only a file it made
-            dump.close()
-            if created:
-                with contextlib.suppress(OSError):
-                    os.remove(args.dump_table)
     _emit(
         {
             "type": "solve",
@@ -375,11 +362,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             ),
         }
     )
-    if dump is not None:
+    if args.dump_table:
         try:
-            with dump:
-                if os.path.isfile(args.dump_table):
-                    dump.truncate(0)
+            with open(args.dump_table, "w") as dump:
                 for (T, r, cops_to_move), m in sorted(table.values.items()):
                     side = "C" if cops_to_move else "R"
                     dump.write(f"cops={','.join(map(str, T))} robber={r} side={side} m={m}\n")
@@ -389,14 +374,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_copnumber(args: argparse.Namespace) -> int:
+    g = _load_single_graph(args.file)
     try:
-        g = _load_single_graph(args.file)
         k = cop_number(g, args.max_cops, state_budget=args.budget)
-    except (GraphFormatError, ValueError) as exc:
+    except ValueError as exc:
         return _error(str(exc))
-    except SolverBudgetError as exc:
-        _emit({"type": "error", "error": str(exc), "required_budget": exc.required})
-        return ERROR
     _emit(
         {
             "type": "copnumber",
@@ -480,6 +462,8 @@ def cmd_conjecture_search(args: argparse.Namespace) -> int:
         return _error(f"conjecture search needs t >= 5, got {args.t}")
     if args.n < 1:
         return _error(f"n must be >= 1, got {args.n}")
+    if args.n > 62:  # every sample record carries its graph6, short form only
+        return _error(f"n must be <= 62, got {args.n}")
     if args.samples < 0:
         return _error(f"samples must be >= 0, got {args.samples}")
     tags = _write_each(functools.partial(_sample_seeds, args.seed, args.samples),
@@ -608,6 +592,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
+        return ERROR
+    except GraphFormatError as exc:
+        return _error(str(exc))
+    except SolverBudgetError as exc:
+        _emit({"type": "error", "error": str(exc), "required_budget": exc.required})
         return ERROR
     except Exception as exc:  # the exit-code contract holds for every input
         return _error(f"internal error: {_describe(exc)}")

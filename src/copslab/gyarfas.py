@@ -199,7 +199,10 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
     """Max capture time of the strategy against all robber play, by full search.
 
     Explores every robber placement and every robber reply against the
-    (deterministic) cop strategy, memoizing on (path, territory, robber).
+    (deterministic) cop strategy, memoizing on (path, robber): a robber next
+    to an anchor is captured whatever the territory, and one that is not lies
+    in the component of G - N[v_0..v_(i-1)] that holds him, which is the
+    territory (each territory is a component of the one before less N[tip]).
     Either every line ends in capture - then max_cop_moves is the exact
     worst-case count, and on genuinely path-free inputs it is at most t-1 -
     or some line uncovers an induced t-vertex path, which is returned as a
@@ -207,6 +210,7 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
     """
     positions0, state0 = initial_placement(g, t, v0_rule)
     memo: dict[tuple, int] = {}
+    paths: dict[tuple, tuple] = {}  # one copy of each anchor path, which its keys share
     # Depth first over frames [key, cops' next state, robber replies left, most cop
     # moves so far], kept in a list rather than on the call stack, so no game is too
     # long to search. The bottom frame is the placement (cop move 1); its replies
@@ -225,7 +229,7 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
                 if stack:
                     memo[frame[0]] = value
                 continue
-            key = (frame[1].path, frame[1].territory, r)
+            key = (paths.setdefault(frame[1].path, frame[1].path), r)
             value = memo.get(key)
             if value is None:
                 moves, nxt = cop_turn(g, frame[1], r)

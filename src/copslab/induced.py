@@ -7,15 +7,13 @@ strictly longer than the best found so far, so it reports the same path as
 the unpruned DFS. The bound, cheapest first: the free vertices (outside the
 path and its neighbourhood), then those a flood from the tip's candidates
 reaches through them, then, close to the cut-off, that count less all but one
-of the reached vertices that could only end the path. A node with several
-extensions keeps its whole flood, which holds each child's: a child whose
-share of it (less the new tip's neighbours) is already below the cut-off is
-skipped without a flood of its own. `is_pt_free(g, t)` runs the same search as
-if a path of t-1 vertices were already known, so every subtree that cannot
-reach t vertices is skipped from the first node on, and the first t-vertex
-path in DFS order is still its certificate. Sized for desk-scale
-corpora: uncapped on sparse G(n, c/n) (c ~ 4-5) up to n = 36, capped
-P_t-freeness checks to n ~ 30, and paths and cycles such as P_1500 and C_1500.
+of the reached vertices that could only end the path. `is_pt_free(g, t)`
+runs the same search as if a path of t-1 vertices were already known, so
+every subtree that cannot reach t vertices is skipped from the first node on,
+and the first t-vertex path in DFS order is still its certificate. Sized for
+desk-scale corpora: uncapped on sparse G(n, c/n) (c ~ 4-5) up to n = 36,
+capped P_t-freeness checks to n ~ 30, and paths and cycles such as P_1500 and
+C_1500.
 Heuristics are deliberately out of scope: downstream checks need the true
 induced-path order.
 """
@@ -80,18 +78,15 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
     full = (1 << n) - 1
     path: list[int] = []
     # One frame per path vertex: the extensions not yet tried, the vertices
-    # closed to every extension (path vertices and their neighbours), for a
-    # node with a single extension its flood (see _Flood), and for a node with
-    # several the reach of its whole flood (-1 if it has none), which holds
-    # every child's flood.
+    # closed to every extension (path vertices and their neighbours), and for
+    # a node with a single extension its flood (see _Flood).
     cands: list[int] = []
     closed: list[int] = []
     floods: list[_Flood | None] = []
-    reaches: list[int] = []
     for start in range(n):
         tip, blocked = start, 1 << start
         path.append(start)
-        flood, space = None, -1
+        flood = None
         while True:
             # Open the node whose path ends at tip; blocked = path vertices plus
             # everything adjacent to a non-tip path vertex.
@@ -99,12 +94,11 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
             blocked |= nbr[tip]
             # The subtree matters only if it can add more than `room` vertices:
             # one candidate, then free vertices (outside the path and its
-            # neighbourhood) within the parent's reach. With room <= 0 any
-            # extension is an improvement.
+            # neighbourhood). With room <= 0 any extension is an improvement.
             room = best_order - len(path)
             if cand and room > 0:
                 free = full ^ blocked
-                if (free & space).bit_count() < room:
+                if free.bit_count() < room:
                     cand = 0
                 else:
                     # A flood holding room + 2 vertices cannot prune, so one
@@ -116,19 +110,13 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
             if cand:
                 cands.append(cand)
                 closed.append(blocked)
-                if cand & (cand - 1) == 0:
-                    floods.append(flood)
-                    reaches.append(-1)
-                else:
-                    floods.append(None)
-                    reaches.append(flood.reach if flood is not None and flood.whole else -1)
+                floods.append(flood if cand & (cand - 1) == 0 else None)
             else:
                 path.pop()
             while cands and not cands[-1]:
                 cands.pop()
                 closed.pop()
                 floods.pop()
-                reaches.pop()
                 path.pop()
             if not cands:
                 break
@@ -146,7 +134,6 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
             flood = floods[-1]
             if flood is not None:
                 flood = flood.after(nbr[tip])
-            space = reaches[-1]
     return best_path
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import copslab.cli as cli
 from copslab.cli import main
 from copslab.corpus import theorem_corpus
-from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
+from copslab.generators import complete_graph, cycle_graph, gnp_random_graph, path_graph, petersen_graph
 from copslab.graphs import Graph, encode_graph6, format_edge_list
 from copslab.induced import verify_induced_path
 from copslab.verify import conjecture_probe, conjecture_status
@@ -528,11 +528,13 @@ class TestArgumentChecks:
             (["check", "{file}", "--t", "0"], "t must be >= 1, got 0"),
             (["lip", "{file}", "--cap", "0"], "cap must be >= 1, got 0"),
             (["conjecture-search", "--t", "5", "--n", "0", "--samples", "2"], "n must be >= 1, got 0"),
+            (["conjecture-search", "--t", "40", "--n", "63", "--samples", "1", "--budget", "1000"],
+             "n must be <= 62, got 63"),
             (["conjecture-search", "--t", "5", "--n", "4", "--samples", "-1"],
              "samples must be >= 0, got -1"),
             (["gen", "path", "5", "--count", "-1"], "count must be >= 0, got -1"),
         ],
-        ids=["check-t0", "lip-cap0", "search-n0", "search-samples-1", "gen-count-1"],
+        ids=["check-t0", "lip-cap0", "search-n0", "search-n63", "search-samples-1", "gen-count-1"],
     )
     def test_plain_error_record(self, capsys, c5_file, argv, message):
         rc, records = run_cli(capsys, *(a.replace("{file}", c5_file) for a in argv))
@@ -685,6 +687,27 @@ class TestByteDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "1adc675a6da0e904fbc032fc9812629772bc112a336f91b21bab5f821088517d"
         )
+
+    @pytest.mark.parametrize(
+        "argv,rc,digest",
+        [
+            (["lip", "sparse.g6"], 0,
+             "03ba3e9dce07322ed04e30983d7eefde9577f6839b0f56ac5bdad582c815d019"),
+            (["check", "sparse.g6", "--t", "6", "--keep-going"], 1,
+             "c24d990dc88e5bcfb3f7af1d8dd99137e1fb30fa30bee6b86ee8f24141c48ed7"),
+            (["conjecture-search", "--t", "6", "--n", "12", "--samples", "200", "--seed", "1"], 0,
+             "307dc5f248557223ae6fef5a3835ab76f190238fadb559f1c89d03c36a0c2b51"),
+        ],
+        ids=["lip", "check", "conjecture-search"],
+    )
+    def test_search_output_digest(self, capsys, monkeypatch, tmp_path, argv, rc, digest):
+        # The induced-path search and the sampler, pinned byte for byte on 20 sparse
+        # G(n, 4.5/n) graphs with n = 30..36 and on 200 samples.
+        graphs6 = [encode_graph6(gnp_random_graph(30 + i % 7, 4.5 / (30 + i % 7), i)) for i in range(20)]
+        (tmp_path / "sparse.g6").write_text("".join(line + "\n" for line in graphs6))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == rc
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_verify_theorem_twice_identical(self, tmp_path):
         corpus = tmp_path / "c.g6"

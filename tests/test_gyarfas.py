@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copslab.corpus import theorem_corpus
 from copslab.engine import CAPTURED, STRATEGY_FAILURE, play
 from copslab.generators import (
     complete_graph,
@@ -24,7 +25,7 @@ from copslab.gyarfas import (
     cop_turn,
     initial_placement,
 )
-from copslab.induced import verify_induced_path
+from copslab.induced import longest_induced_path_order, verify_induced_path
 from copslab.robbers import GreedyRobber, RandomRobber
 
 from conftest import ScriptedRobber
@@ -145,6 +146,49 @@ class TestCaptureBound:
             trace = play(g, GyarfasCop(5), robber)
             assert trace.outcome.result == CAPTURED
             assert trace.outcome.cop_moves <= a.max_cop_moves
+
+
+def reference_analysis(g, t, v0_rule):
+    """The analysis as a recursive search memoized on (path, territory, robber)."""
+    positions0, state0 = initial_placement(g, t, v0_rule)
+    memo = {}
+
+    def needed(state, r):  # cop moves still needed with the cops to move at state
+        key = (state.path, state.territory, r)
+        if key not in memo:
+            moves, nxt = cop_turn(g, state, r)
+            replies = sorted(({r} | g.adj[r]) - set(moves)) if r not in moves else []
+            memo[key] = max([1] + [1 + needed(nxt, reply) for reply in replies])
+        return memo[key]
+
+    try:
+        worst = max([1] + [1 + needed(state0, r) for r in sorted(set(range(g.n)) - set(positions0))])
+    except NotPtFreeError as exc:
+        return False, None, exc.certificate, len(memo)
+    return True, worst, None, len(memo)
+
+
+def oracle_cases():
+    for name, g in theorem_corpus():
+        order = longest_induced_path_order(g)[0]
+        for t in range(max(3, order - 1), order + 2):
+            yield name, g, t
+    for n in range(3, 13):  # every t, so also the lines that end in a certificate
+        for t in range(3, n + 2):
+            yield f"cycle-{n}", cycle_graph(n), t
+            yield f"path-{n}", path_graph(n), t
+
+
+class TestMemoKeyOracle:
+    @pytest.mark.parametrize("v0_rule", ["lowest", "max_degree"])
+    def test_matches_search_keyed_on_territory(self, v0_rule):
+        # the territory follows from the anchor path and the robber, so keying
+        # on it changes no answer, and can only keep more states apart
+        for name, g, t in oracle_cases():
+            a = analyze_strategy(g, t, v0_rule)
+            captured, worst, cert, states = reference_analysis(g, t, v0_rule)
+            assert (a.captured_all, a.max_cop_moves, a.certificate) == (captured, worst, cert), (name, t)
+            assert a.states_explored <= states, (name, t)
 
 
 class TestNotPtFree:
