@@ -43,8 +43,8 @@ from .gyarfas import GyarfasCop
 from .induced import is_pt_free, longest_induced_path_order
 from .rng import SplitMix64
 from .robbers import GreedyRobber, OptimalRobber, RandomRobber
-from .solver import DEFAULT_STATE_BUDGET, SolverBudgetError, cop_number, estimate_solver_work, solve
-from .verify import DEFAULT_WORK_BUDGET, conjecture_probe, verify_theorem_bound
+from .solver import DEFAULT_STATE_BUDGET, SolverBudgetError, cop_number, solve
+from .verify import conjecture_probe, over_work_budget, verify_theorem_bound
 
 OK, NEGATIVE, ERROR = 0, 1, 2
 
@@ -124,14 +124,10 @@ def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):
     if spec == "greedy":
         return GreedyRobber()
     if spec == "optimal":
-        k = t - 2
-        work = estimate_solver_work(g, k)
-        if work > DEFAULT_WORK_BUDGET:
-            raise ValueError(
-                f"optimal robber needs a solve with k={k} of ~{work} move enumerations "
-                f"(budget {DEFAULT_WORK_BUDGET})"
-            )
-        table, _ = solve(g, k, state_budget=budget)
+        reason = over_work_budget(g, t - 2)
+        if reason is not None:
+            raise ValueError(f"optimal robber unavailable: {reason}")
+        table, _ = solve(g, t - 2, state_budget=budget)
         return OptimalRobber(table)
     if spec == "random":
         return RandomRobber(fallback_seed)
@@ -317,14 +313,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cop = GyarfasCop(args.t, v0_rule=args.v0)
         robber = _make_robber(args.robber, args.seed, g, args.t, args.budget)
         trace = play(g, cop, robber)
-    except (SolverBudgetError, ValueError) as exc:
+    except ValueError as exc:  # a SolverBudgetError reaches main, which reports required_budget
         return _error(str(exc))
     if args.format == "dot":
         sys.stdout.write(trace_to_dot(trace))
     else:
         for rec in trace.to_records():
             _emit(rec)
-        for rec in cop.state_records():
+        for rec in cop.records:
             _emit(rec)
     captured_in_time = (
         trace.outcome.result == CAPTURED and trace.outcome.cop_moves <= args.t - 1

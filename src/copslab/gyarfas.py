@@ -3,29 +3,28 @@
 With t-2 cops on a connected graph that has no induced t-vertex path, the
 strategy guarantees capture within t-1 cop moves (the placement counts as
 move 1). All cops start stacked on an anchor v0. Each round either some
-anchor's cop can step onto the robber, or the stack's tip advances to a new
-anchor chosen inside the robber's shrinking territory: the component of the
-old territory minus the tip's closed neighborhood that still contains the
-robber. One cop stays behind on every anchor passed.
+anchor's cop can step onto the robber, or the stack's tip v_i advances to a
+new anchor toward the robber's territory: the component of G - N[v_0..v_i]
+that holds him. The territory is derived from the anchor path and the robber
+each turn, so the anchor path is the strategy's whole state. One cop stays
+behind on every anchor passed.
 
-Because each new anchor lies inside the previous territory, the anchors form
-an induced path; once t-2 anchors stand and the robber still avoids all their
-closed neighborhoods, those anchors plus a shortest path into the territory
-exhibit an induced path on t vertices - so on inputs that are not actually
-free of such paths the strategy fails loudly with that certificate instead of
-ever returning a silent wrong answer.
+Because each new anchor lies outside the closed neighborhoods of the anchors
+before the tip, the anchors form an induced path; once t-2 anchors stand and
+the robber still avoids all their closed neighborhoods, those anchors plus a
+shortest path from the tip to the robber exhibit an induced path on t
+vertices - so on inputs that are not actually free of such paths the
+strategy fails loudly with that certificate instead of ever returning a
+silent wrong answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .engine import GameState, StrategyError
 from .graphs import Graph, distances_within, shortest_path_within
 from .induced import verify_induced_path
-
-ADVANCING = "advancing"
-CAPTURING = "capturing"
 
 
 class NotPtFreeError(StrategyError):
@@ -39,33 +38,18 @@ class NotPtFreeError(StrategyError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class GyarfasState:
-    """Live strategy state: anchors v_0..v_i, current territory, phase.
-
-    territory is None until the first advance (implicitly: everything beyond
-    N[v0]). Cop j stands on anchor min(j, i); the tip hosts all not-yet-parked
-    cops.
-    """
-
-    t: int
-    path: tuple[int, ...]
-    territory: frozenset[int] | None
-    phase: str
-
-    @property
-    def cop_count(self) -> int:
-        return self.t - 2
-
-    def cop_positions(self) -> tuple[int, ...]:
-        tip = len(self.path) - 1
-        return tuple(self.path[min(j, tip)] for j in range(self.cop_count))
+def cop_positions(t: int, path: tuple[int, ...]) -> tuple[int, ...]:
+    """Where the t-2 cops stand: one on each anchor, and every cop not yet parked on the tip."""
+    return path + path[-1:] * (t - 2 - len(path))
 
 
-def initial_placement(
-    g: Graph, t: int, v0_rule: str = "lowest"
-) -> tuple[tuple[int, ...], GyarfasState]:
-    """Stack all t-2 cops on the starting anchor v0 (cop move 1).
+def _beyond(g: Graph, anchors: tuple[int, ...]) -> set[int]:
+    """The vertices outside every anchor's closed neighborhood."""
+    return set(range(g.n)).difference(anchors, *(g.adj[a] for a in anchors))
+
+
+def initial_placement(g: Graph, t: int, v0_rule: str = "lowest") -> tuple[int, ...]:
+    """The anchor path (v0,): all t-2 cops stacked on v0 (cop move 1).
 
     v0 is the lowest-index vertex, or with v0_rule="max_degree" a
     highest-degree vertex (ties to the lowest index).
@@ -75,113 +59,88 @@ def initial_placement(
     if g.n == 0 or not g.is_connected():
         raise ValueError("strategy requires a connected, non-empty graph")
     if v0_rule == "lowest":
-        v0 = 0
-    elif v0_rule == "max_degree":
-        v0 = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    else:
-        raise ValueError(f"unknown v0_rule {v0_rule!r}")
-    state = GyarfasState(t=t, path=(v0,), territory=None, phase=ADVANCING)
-    return state.cop_positions(), state
+        return (0,)
+    if v0_rule == "max_degree":
+        return (max(range(g.n), key=lambda v: (g.degree(v), -v)),)
+    raise ValueError(f"unknown v0_rule {v0_rule!r}")
 
 
 def cop_turn(
-    g: Graph, state: GyarfasState, robber: int
-) -> tuple[tuple[int, ...], GyarfasState]:
-    """One cops' turn given the robber's current vertex.
+    g: Graph, t: int, path: tuple[int, ...], robber: int
+) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int] | None]:
+    """One cops' turn given the robber's vertex: (cop positions, anchor path, territory).
 
     Capture beats advancing: if the robber stands in the closed neighborhood
-    of any anchor, the lowest such anchor's cop steps onto him. Otherwise the
-    robber is inside the territory and the tip advances. Raises
-    NotPtFreeError when the path is complete yet the robber escaped every
-    anchor's neighborhood (impossible on truly path-free inputs).
+    of any anchor, the lowest such anchor's cop steps onto him, the path stays
+    and the territory is None. Otherwise the territory is the component of
+    G - N[path] that holds the robber, and the tip advances to its lowest
+    neighbor outside the earlier anchors' closed neighborhoods that touches
+    the territory. Raises NotPtFreeError when the path is complete yet the
+    robber escaped every anchor's neighborhood (impossible on truly path-free
+    inputs).
     """
-    positions = state.cop_positions()
-
     # Opportunistic capture: only ever shortens the game.
-    for j, anchor in enumerate(state.path):
+    for j, anchor in enumerate(path):
         if robber == anchor or g.has_edge(anchor, robber):
-            new_positions = list(positions)
-            new_positions[j] = robber
-            return tuple(new_positions), replace(state, phase=CAPTURING)
+            positions = cop_positions(t, path)
+            return positions[:j] + (robber,) + positions[j + 1:], path, None
 
-    if len(state.path) == state.t - 2:
-        raise NotPtFreeError(state.t, _escape_certificate(g, state, robber))
+    if len(path) == t - 2:
+        raise NotPtFreeError(t, _escape_certificate(g, t, path, robber))
 
-    tip = state.path[-1]
-    territory = frozenset(range(g.n)) if state.territory is None else state.territory
-    if robber not in territory:
-        raise AssertionError(
-            f"invariant violation: robber {robber} outside territory and all "
-            f"anchor neighborhoods (path {state.path})"
-        )
-    new_territory = frozenset(distances_within(g, [robber], territory - g.adj[tip] - {tip}))
-    viable = [w for w in sorted(g.adj[tip] & territory) if g.adj[w] & new_territory]
-    if not viable:
-        # Connectivity of the territory guarantees a viable next anchor exists.
+    tip = path[-1]
+    earlier = _beyond(g, path[:-1])
+    territory = frozenset(distances_within(g, [robber], earlier - g.adj[tip] - {tip}))
+    nxt = min((w for w in g.adj[tip] & earlier if g.adj[w] & territory), default=None)
+    if nxt is None:
+        # The territory is a component of G - N[v_0..v_(i-1)] next to the tip.
         raise AssertionError(
             f"invariant violation: no next anchor from tip {tip} toward "
-            f"component {sorted(new_territory)}"
+            f"component {sorted(territory)}"
         )
-    new_state = GyarfasState(
-        t=state.t,
-        path=state.path + (viable[0],),
-        territory=new_territory,
-        phase=ADVANCING,
-    )
-    return new_state.cop_positions(), new_state
+    path += (nxt,)
+    return cop_positions(t, path), path, territory
 
 
-def _escape_certificate(g: Graph, state: GyarfasState, robber: int) -> tuple[int, ...]:
-    # Anchors plus a shortest path from the tip through the territory to the
-    # robber: induced (territory avoids every earlier anchor's neighborhood)
-    # and at least t vertices long since the robber is two or more steps away.
-    tip = state.path[-1]
-    if state.territory is None:
-        region = frozenset(range(g.n))
-    else:
-        region = state.territory | {tip}
-    tail = shortest_path_within(g, region, tip, robber)
+def _escape_certificate(g: Graph, t: int, path: tuple[int, ...], robber: int) -> tuple[int, ...]:
+    # Anchors plus a shortest path from the tip to the robber through the
+    # vertices outside the earlier anchors' neighborhoods: induced, and at least
+    # t vertices long since the robber is two or more steps away.
+    tip = path[-1]
+    tail = shortest_path_within(g, _beyond(g, path[:-1]) | {tip}, tip, robber)
     assert tail is not None and len(tail) >= 3
-    cert = list(state.path[:-1]) + tail
-    cert = cert[: state.t]
+    cert = (list(path[:-1]) + tail)[:t]
     assert verify_induced_path(g, cert), f"bad escape certificate {cert}"
     return tuple(cert)
 
 
 class GyarfasCop:
-    """Engine-facing adapter; owns one game's strategy state and its history."""
+    """Engine-facing adapter; owns one game's anchor path and its strategy_state records."""
 
     def __init__(self, t: int, v0_rule: str = "lowest"):
         self.t = t
         self.v0_rule = v0_rule
-        self.state: GyarfasState | None = None
-        self.history: list[GyarfasState] = []
+        self.path: tuple[int, ...] = ()
+        self.records: list[dict] = []
 
     def place(self, g: Graph) -> tuple[int, ...]:
-        positions, self.state = initial_placement(g, self.t, self.v0_rule)
-        self.history = [self.state]
-        return positions
+        self.path = initial_placement(g, self.t, self.v0_rule)
+        self.records = []
+        return self._record("advancing", None)
 
     def move(self, g: Graph, state: GameState) -> tuple[int, ...]:
-        assert self.state is not None
-        positions, self.state = cop_turn(g, self.state, state.robber)
-        self.history.append(self.state)
+        positions, self.path, territory = cop_turn(g, self.t, self.path, state.robber)
+        if territory is None:  # a capture, recorded with the positions it started from
+            self._record("capturing", self.records[-1]["territory"])
+        else:
+            self._record("advancing", sorted(territory))
         return positions
 
-    def state_records(self) -> list[dict]:
-        """Audit snapshots of the strategy state, JSONL-ready."""
-        out = []
-        for st in self.history:
-            out.append(
-                {
-                    "type": "strategy_state",
-                    "phase": st.phase,
-                    "path": list(st.path),
-                    "territory": sorted(st.territory) if st.territory is not None else None,
-                    "cop_positions": list(st.cop_positions()),
-                }
-            )
-        return out
+    def _record(self, phase: str, territory: list[int] | None) -> tuple[int, ...]:
+        positions = cop_positions(self.t, self.path)
+        self.records.append({"type": "strategy_state", "phase": phase, "path": list(self.path),
+                             "territory": territory, "cop_positions": list(positions)})
+        return positions
 
 
 @dataclass(frozen=True)
@@ -199,24 +158,21 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
     """Max capture time of the strategy against all robber play, by full search.
 
     Explores every robber placement and every robber reply against the
-    (deterministic) cop strategy, memoizing on (path, robber): a robber next
-    to an anchor is captured whatever the territory, and one that is not lies
-    in the component of G - N[v_0..v_(i-1)] that holds him, which is the
-    territory (each territory is a component of the one before less N[tip]).
-    Either every line ends in capture - then max_cop_moves is the exact
-    worst-case count, and on genuinely path-free inputs it is at most t-1 -
-    or some line uncovers an induced t-vertex path, which is returned as a
-    certificate.
+    (deterministic) cop strategy, memoizing on (anchor path, robber), the
+    whole state of a cops' turn. Either every line ends in capture - then
+    max_cop_moves is the exact worst-case count, and on genuinely path-free
+    inputs it is at most t-1 - or some line uncovers an induced t-vertex path,
+    which is returned as a certificate.
     """
-    positions0, state0 = initial_placement(g, t, v0_rule)
+    path0 = initial_placement(g, t, v0_rule)
     memo: dict[tuple, int] = {}
     paths: dict[tuple, tuple] = {}  # one copy of each anchor path, which its keys share
-    # Depth first over frames [key, cops' next state, robber replies left, most cop
+    # Depth first over frames [key, cops' anchor path, robber replies left, most cop
     # moves so far], kept in a list rather than on the call stack, so no game is too
     # long to search. The bottom frame is the placement (cop move 1); its replies
     # are the robber's starting vertices. A frame starts at 1, the robber's forced
     # suicide when every reply is occupied.
-    stack = [[None, state0, iter(sorted(set(range(g.n)) - set(positions0))), 1]]
+    stack = [[None, path0, iter(sorted(set(range(g.n)) - set(path0))), 1]]
     value = None  # cop moves still needed from the state just searched, cops to move
     try:
         while stack:
@@ -229,13 +185,14 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
                 if stack:
                     memo[frame[0]] = value
                 continue
-            key = (paths.setdefault(frame[1].path, frame[1].path), r)
+            key = (frame[1], r)
             value = memo.get(key)
             if value is None:
-                moves, nxt = cop_turn(g, frame[1], r)
+                moves, nxt, _ = cop_turn(g, t, frame[1], r)
                 if r in moves:
                     memo[key] = value = 1
                 else:
+                    nxt = paths.setdefault(nxt, nxt)
                     stack.append([key, nxt, iter(sorted(({r} | g.adj[r]) - set(moves))), 1])
     except NotPtFreeError as exc:
         return StrategyAnalysis(t, False, None, exc.certificate, len(memo))

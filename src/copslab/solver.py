@@ -23,8 +23,9 @@ from the recorded growth only when a caller asks for it.
 Reporting converts plies into "cop moves including the initial placement"
 (placement is cop move 1), the single currency shared with the engine and
 the path-hunting strategy. Large cop counts explode the joint-move lists:
-the solver only enforces the state budget, so callers gate on
-`estimate_solver_work` before committing to anything past k = 4 or so.
+the solver only enforces the state budget, so callers ask the one gate on
+`estimate_solver_work`, `verify.over_work_budget`, before committing to
+anything past k = 4 or so.
 
 `cop_number` only needs to know whether k cops win, so it solves a k only
 when no theorem decides it: k = 1 is decided by dismantlability, and a k >= 2

@@ -29,10 +29,21 @@ from .solver import (
     state_space_size,
 )
 
-# Joint-cop-move enumeration volume a solve is allowed before callers that
-# gate on feasibility (theorem verification, optimal-robber construction)
-# should skip it. Calibrated so a gated solve stays under a second.
+# Joint-cop-move enumeration volume a solve is allowed before `over_work_budget`
+# turns it away. Calibrated so a gated solve stays under a second.
 DEFAULT_WORK_BUDGET = 10_000_000
+
+
+def over_work_budget(g: Graph, k: int) -> str | None:
+    """Why a solve of g with k cops is too much work to start, or None when it is not.
+
+    The package's one gate on `estimate_solver_work`: theorem verification and
+    the optimal robber both ask it before they solve.
+    """
+    work = estimate_solver_work(g, k)
+    if work > DEFAULT_WORK_BUDGET:
+        return f"solve with k={k} needs ~{work} move enumerations (budget {DEFAULT_WORK_BUDGET})"
+    return None
 
 
 def conjecture_status(t: int, cnum: int | None) -> str:
@@ -92,14 +103,11 @@ def verify_theorem_bound(g: Graph, state_budget: int = DEFAULT_STATE_BUDGET) -> 
     check_b = analysis.captured_all and strategy_moves is not None and strategy_moves <= t - 1
 
     solver_moves = None
-    skip_reason = None
     check_c: bool | None = None
-    work = estimate_solver_work(g, k)
-    if work > DEFAULT_WORK_BUDGET:
-        skip_reason = f"solve with k={k} needs ~{work} move enumerations (budget {DEFAULT_WORK_BUDGET})"
-    elif state_space_size(g.n, k) > state_budget:
+    skip_reason = over_work_budget(g, k)
+    if skip_reason is None and state_space_size(g.n, k) > state_budget:
         skip_reason = f"solve with k={k} exceeds the state budget"
-    else:
+    if skip_reason is None:
         _, result = solve(g, k, state_budget)
         solver_moves = result.optimal_capture_cop_moves
         check_c = (

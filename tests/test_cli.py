@@ -183,6 +183,15 @@ class TestSimulate:
         assert rc == 2
         assert records[-1]["type"] == "error" and "budget" in records[-1]["error"]
 
+    def test_optimal_robber_over_state_budget_reports_required_budget(self, capsys, c5_file):
+        # like solve and copnumber: 3 cops on C_5 need 35 multisets x 5 robber vertices x 2 sides
+        rc, records = run_cli(capsys, "simulate", c5_file, "--t", "5", "--robber", "optimal",
+                              "--budget", "0")
+        assert rc == 2
+        assert records == [{"type": "error", "required_budget": 350,
+                            "error": "instance needs 350 states but the budget is 0; "
+                                     "rerun with a budget of at least 350"}]
+
 
 # simulate's exact stdout on C_5: the cops' stack climbs 0 -> 1 -> 2 and the robber,
 # from 2, runs to 3, where the third cop catches it on cop move 4 (t = 5); with t = 4
@@ -250,6 +259,28 @@ class TestSimulateGolden:
     def test_dot(self, capsys, dhc):
         assert main(["simulate", dhc, "--t", "5", "--format", "dot"]) == 0
         assert capsys.readouterr().out == C5_T5_DOT
+
+
+HUNT_CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "data", "hunt.txt")
+# sha256 of simulate's exit codes and stdout on the first 30 hunt graphs (n = 30..36,
+# longest induced path L) against the greedy robber and a seeded random one. At t = L
+# and t = L + 1 every game ends in a capture; at t = 4 most end in a certificate.
+HUNT_SIMULATE_SHA256 = "471193c23b885313c0901cccff74a3682a6f699789c6bb85bf6e716921b3548e"
+
+
+def test_simulate_bytes_on_hunt_graphs(capsys, tmp_path):
+    digest = hashlib.sha256()
+    with open(HUNT_CORPUS) as corpus:
+        lines = corpus.read().splitlines()[:30]
+    for i, line in enumerate(lines):
+        order, g6 = line.split()
+        path = tmp_path / f"g{i}.g6"
+        path.write_text(g6 + "\n")
+        for t in (4, int(order), int(order) + 1):
+            for robber in ("greedy", f"random:{i}"):
+                rc = main(["simulate", str(path), "--t", str(t), "--robber", robber])
+                digest.update(f"{rc}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == HUNT_SIMULATE_SHA256
 
 
 class TestSolveAndCopnumber:

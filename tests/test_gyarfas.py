@@ -16,12 +16,12 @@ from copslab.generators import (
     path_graph,
     star_graph,
 )
+from copslab.graphs import Graph, distances_within
 from copslab.gyarfas import (
-    ADVANCING,
-    CAPTURING,
     GyarfasCop,
     NotPtFreeError,
     analyze_strategy,
+    cop_positions,
     cop_turn,
     initial_placement,
 )
@@ -33,27 +33,27 @@ from conftest import ScriptedRobber
 
 class TestInitialPlacement:
     def test_c5_t5_stacks_three_cops(self):
-        positions, state = initial_placement(cycle_graph(5), 5)
-        assert positions == (0, 0, 0)
-        assert state.path == (0,) and state.phase == ADVANCING
+        path = initial_placement(cycle_graph(5), 5)
+        assert path == (0,) and cop_positions(5, path) == (0, 0, 0)
+        cop = GyarfasCop(5)
+        assert cop.place(cycle_graph(5)) == (0, 0, 0)
+        assert cop.records == [{"type": "strategy_state", "phase": "advancing", "path": [0],
+                                "territory": None, "cop_positions": [0, 0, 0]}]
 
     def test_k4_t3_single_cop(self):
-        assert initial_placement(complete_graph(4), 3)[0] == (0,)
+        assert cop_positions(3, initial_placement(complete_graph(4), 3)) == (0,)
 
     def test_p4_t4_two_cops(self):
-        assert initial_placement(path_graph(4), 4)[0] == (0, 0)
+        assert cop_positions(4, initial_placement(path_graph(4), 4)) == (0, 0)
 
     def test_max_degree_rule(self):
-        positions, state = initial_placement(path_graph(3), 4, v0_rule="max_degree")
-        assert state.path == (1,)
+        assert initial_placement(path_graph(3), 4, v0_rule="max_degree") == (1,)
 
     def test_t_below_three_rejected(self):
         with pytest.raises(ValueError):
             initial_placement(path_graph(3), 2)
 
     def test_disconnected_rejected(self):
-        from copslab.graphs import Graph
-
         with pytest.raises(ValueError, match="connected"):
             initial_placement(Graph.from_edges(4, [(0, 1), (2, 3)]), 4)
 
@@ -149,20 +149,34 @@ class TestCaptureBound:
 
 
 def reference_analysis(g, t, v0_rule):
-    """The analysis as a recursive search memoized on (path, territory, robber)."""
-    positions0, state0 = initial_placement(g, t, v0_rule)
+    """The analysis as a recursive search memoized on (path, territory, robber).
+
+    It carries its own territory by the incremental rule - all of V at first, then
+    the robber's component of the previous territory less N[tip] - and checks that
+    cop_turn derives the same territory, and advances to the same anchor, from the
+    path alone.
+    """
+    path0 = initial_placement(g, t, v0_rule)
     memo = {}
 
-    def needed(state, r):  # cop moves still needed with the cops to move at state
-        key = (state.path, state.territory, r)
+    def needed(path, territory, r):  # cop moves still needed with the cops to move
+        key = (path, territory, r)
         if key not in memo:
-            moves, nxt = cop_turn(g, state, r)
-            replies = sorted(({r} | g.adj[r]) - set(moves)) if r not in moves else []
-            memo[key] = max([1] + [1 + needed(nxt, reply) for reply in replies])
+            moves, nxt, derived = cop_turn(g, t, path, r)
+            if r in moves:
+                memo[key] = 1
+            else:
+                tip = path[-1]
+                own = frozenset(distances_within(g, [r], territory - g.adj[tip] - {tip}))
+                assert derived == own, (path, r)
+                assert nxt == path + (min(w for w in g.adj[tip] & territory if g.adj[w] & own),)
+                replies = sorted(({r} | g.adj[r]) - set(moves))
+                memo[key] = max([1] + [1 + needed(nxt, own, reply) for reply in replies])
         return memo[key]
 
+    everything = frozenset(range(g.n))
     try:
-        worst = max([1] + [1 + needed(state0, r) for r in sorted(set(range(g.n)) - set(positions0))])
+        worst = max([1] + [1 + needed(path0, everything, r) for r in sorted(everything - set(path0))])
     except NotPtFreeError as exc:
         return False, None, exc.certificate, len(memo)
     return True, worst, None, len(memo)
@@ -215,61 +229,66 @@ class TestStateInvariants:
     def _drive(self, g, t, robber):
         cop = GyarfasCop(t)
         trace = play(g, cop, robber)
-        return trace, cop.history
+        return trace, cop.records
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_invariants_along_play(self, seed):
         g = connected_ptfree_graph(9, 6, seed)
-        trace, history = self._drive(g, 6, RandomRobber(seed))
+        trace, records = self._drive(g, 6, RandomRobber(seed))
         assert trace.outcome.result == CAPTURED
         assert trace.outcome.cop_moves <= 5
         prev = None
-        for state in history:
-            assert verify_induced_path(g, list(state.path))
-            k = state.cop_count
-            positions = state.cop_positions()
+        for rec in records:
+            path, positions = tuple(rec["path"]), tuple(rec["cop_positions"])
+            assert verify_induced_path(g, list(path))
+            assert positions == cop_positions(6, path)
+            k = 6 - 2
             assert len(positions) == k
             # every anchor hosts at least one cop; the tip hosts the movers
-            assert set(positions) == set(state.path)
-            if state.phase == ADVANCING:
+            assert set(positions) == set(path)
+            if rec["phase"] == "advancing":
                 # movers pile on the tip: one parked cop per earlier anchor
-                tip_index = len(state.path) - 1
-                assert positions.count(state.path[-1]) == k - tip_index
-            if state.territory is not None:
-                tip = state.path[-1]
-                assert tip not in state.territory
-                assert g.adj[tip] & state.territory
-                if prev is not None and prev.territory is not None and state.phase == ADVANCING:
-                    prev_tip = prev.path[-1]
-                    assert state.territory <= prev.territory - (g.adj[prev_tip] | {prev_tip})
-            prev = state
+                tip_index = len(path) - 1
+                assert positions.count(path[-1]) == k - tip_index
+            if rec["territory"] is not None:
+                territory = frozenset(rec["territory"])
+                tip = path[-1]
+                assert tip not in territory
+                assert g.adj[tip] & territory
+                if prev is not None and prev["territory"] is not None and rec["phase"] == "advancing":
+                    prev_tip = prev["path"][-1]
+                    assert territory <= frozenset(prev["territory"]) - (g.adj[prev_tip] | {prev_tip})
+            prev = rec
 
     def test_anchor_cop_accounting_on_c5(self):
         cop = GyarfasCop(5)
         play(cycle_graph(5), cop, GreedyRobber())
-        sizes = [len(st.path) for st in cop.history if st.phase == ADVANCING]
+        sizes = [len(rec["path"]) for rec in cop.records if rec["phase"] == "advancing"]
         assert sizes == sorted(sizes)  # path only grows
-        final = cop.history[-1]
-        assert final.phase == CAPTURING
+        final = cop.records[-1]
+        assert final["phase"] == "capturing"
+        # a capture is recorded with the positions the capturing cop moved from
+        assert final["cop_positions"] == cop.records[-2]["cop_positions"] == [0, 1, 2]
 
 
 class TestCopTurnDirect:
     def test_capture_prefers_lowest_anchor(self):
-        # both anchors see the robber: the lower-indexed anchor's cop moves
-        g = cycle_graph(4)
-        _, state = initial_placement(g, 4)
-        moves, state = cop_turn(g, state, 2)  # advance toward the robber
-        assert state.path == (0, 1)
-        moves, state2 = cop_turn(g, state, 2)
-        assert state2.phase == CAPTURING
-        assert moves.count(2) == 1
+        # on the diamond (C_4 0-1-2-3 plus the chord 1-3) vertex 3 sees both anchors 0
+        # and 1: the lower-indexed anchor's cop moves
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+        path = initial_placement(g, 4)
+        moves, path, territory = cop_turn(g, 4, path, 2)  # advance toward the robber
+        assert path == (0, 1) and territory == {2}
+        moves, path2, territory = cop_turn(g, 4, path, 3)
+        assert path2 == path and territory is None  # a capture
+        assert moves == (3, 1)
 
     def test_not_pt_free_raised_directly(self):
         g = path_graph(6)
-        _, state = initial_placement(g, 5)
+        path = initial_placement(g, 5)
         robber = 5
         with pytest.raises(NotPtFreeError) as info:
             for _ in range(5):
-                moves, state = cop_turn(g, state, robber)
+                moves, path, _ = cop_turn(g, 5, path, robber)
         assert verify_induced_path(g, list(info.value.certificate))
