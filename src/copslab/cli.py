@@ -112,12 +112,16 @@ def _parsed(loc: str, parser, text: str) -> tuple[str, Graph | None, str | None]
 
 
 def _load_single_graph(path: str) -> Graph:
-    for item in _inputs([path]):
-        _, g, err = _parsed(*item)
-        if err is not None:
-            raise GraphFormatError(err)
-        return g
-    raise GraphFormatError(f"no graph found in {path}")
+    with contextlib.closing(_inputs([path])) as items:  # closes the file at once
+        first, second = next(items, None), next(items, None)
+    if first is None:
+        raise GraphFormatError(f"no graph found in {path}")
+    if second is not None:
+        raise GraphFormatError(f"{path} holds more than one graph; this command takes one")
+    _, g, err = _parsed(*first)
+    if err is not None:
+        raise GraphFormatError(err)
+    return g
 
 
 def _make_robber(spec: str, fallback_seed: int, g: Graph, t: int, budget: int):

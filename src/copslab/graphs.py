@@ -5,9 +5,12 @@ and safe to share between workers. Every tie-break in this repo is "lowest
 vertex index first" so that downstream strategies and traces are fully
 deterministic.
 
-This module owns traversal and the bitmask views: every breadth-first search
-in the package is `distances_within`, and bitset code reads N(v) and N[v] from
-`Graph.nbr_masks` and `Graph.closed_masks`, built once per graph.
+This module owns the distance searches (`distances_within`, which the robbers,
+connectivity and `shortest_path_within` use) and the bitmask views: bitset
+code reads N(v) and N[v] from `Graph.nbr_masks` and `Graph.closed_masks`,
+built once per graph. Two searches that need only reachability keep their own
+floods: `induced._Flood`, which stops at a size limit, and the strategy's
+territory flood over masks in `gyarfas`.
 """
 
 from __future__ import annotations

@@ -1,21 +1,18 @@
 """Cop strategy that hunts along a growing induced path.
 
 With t-2 cops on a connected graph that has no induced t-vertex path, the
-strategy guarantees capture within t-1 cop moves (the placement counts as
-move 1). All cops start stacked on an anchor v0. Each round either some
-anchor's cop can step onto the robber, or the stack's tip v_i advances to a
-new anchor toward the robber's territory: the component of G - N[v_0..v_i]
-that holds him. The territory is derived from the anchor path and the robber
-each turn, so the anchor path is the strategy's whole state. One cop stays
-behind on every anchor passed.
+strategy captures within t-1 cop moves (the placement is move 1). All cops
+start stacked on an anchor v0. Each round either some anchor's cop steps onto
+the robber, or the stack's tip v_i advances to a new anchor toward the
+robber's territory, the component of G - N[v_0..v_i] that holds him, leaving
+one cop on the anchor passed. The anchor path fixes every territory and the
+next anchor toward each, so `cop_turn` decides them once per anchor path.
 
-Because each new anchor lies outside the closed neighborhoods of the anchors
-before the tip, the anchors form an induced path; once t-2 anchors stand and
-the robber still avoids all their closed neighborhoods, those anchors plus a
-shortest path from the tip to the robber exhibit an induced path on t
-vertices - so on inputs that are not actually free of such paths the
-strategy fails loudly with that certificate instead of ever returning a
-silent wrong answer.
+The anchors form an induced path, since each new one lies outside the closed
+neighborhoods of those before the tip. Once t-2 anchors stand and the robber
+still avoids their closed neighborhoods, the anchors plus a shortest path from
+the tip to the robber are an induced t-vertex path: on inputs that are not
+free of such paths the strategy fails loudly with that certificate.
 """
 
 from __future__ import annotations
@@ -23,15 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GameState, StrategyError
-from .graphs import Graph, distances_within, shortest_path_within
+from .graphs import Graph, shortest_path_within
 from .induced import verify_induced_path
 
 
 class NotPtFreeError(StrategyError):
-    """The input graph contains an induced path on t vertices; play cannot continue.
-
-    `certificate` is that path, verifiable with `verify_induced_path`.
-    """
+    """The graph has an induced path on t vertices, the `certificate`; play cannot continue."""
 
     def __init__(self, t: int, certificate: tuple[int, ...]):
         super().__init__(f"graph contains an induced path on {t} vertices", certificate)
@@ -43,17 +37,9 @@ def cop_positions(t: int, path: tuple[int, ...]) -> tuple[int, ...]:
     return path + path[-1:] * (t - 2 - len(path))
 
 
-def _beyond(g: Graph, anchors: tuple[int, ...]) -> set[int]:
-    """The vertices outside every anchor's closed neighborhood."""
-    return set(range(g.n)).difference(anchors, *(g.adj[a] for a in anchors))
-
-
 def initial_placement(g: Graph, t: int, v0_rule: str = "lowest") -> tuple[int, ...]:
-    """The anchor path (v0,): all t-2 cops stacked on v0 (cop move 1).
-
-    v0 is the lowest-index vertex, or with v0_rule="max_degree" a
-    highest-degree vertex (ties to the lowest index).
-    """
+    """The anchor path (v0,), all t-2 cops stacked on v0 (cop move 1): v0 is vertex 0, or
+    with v0_rule="max_degree" the lowest-index vertex of highest degree."""
     if t < 3:
         raise ValueError(f"t must be >= 3, got {t}")
     if g.n == 0 or not g.is_connected():
@@ -65,49 +51,63 @@ def initial_placement(g: Graph, t: int, v0_rule: str = "lowest") -> tuple[int, .
     raise ValueError(f"unknown v0_rule {v0_rule!r}")
 
 
-def cop_turn(
-    g: Graph, t: int, path: tuple[int, ...], robber: int
-) -> tuple[tuple[int, ...], tuple[int, ...], frozenset[int] | None]:
-    """One cops' turn given the robber's vertex: (cop positions, anchor path, territory).
+def cop_turn(g: Graph, t: int, path: tuple[int, ...], robber: int,
+             table: dict) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
+    """One cops' turn given the robber's vertex: (cop positions, anchor path, territory mask).
 
-    Capture beats advancing: if the robber stands in the closed neighborhood
-    of any anchor, the lowest such anchor's cop steps onto him, the path stays
-    and the territory is None. Otherwise the territory is the component of
-    G - N[path] that holds the robber, and the tip advances to its lowest
-    neighbor outside the earlier anchors' closed neighborhoods that touches
-    the territory. Raises NotPtFreeError when the path is complete yet the
-    robber escaped every anchor's neighborhood (impossible on truly path-free
-    inputs).
+    Capture beats advancing: if the robber is in the closed neighborhood of an
+    anchor, the lowest such anchor's cop steps onto him, the path stays and the
+    territory is None. Otherwise the territory is the robber's component of
+    G - N[path], and the tip advances to its lowest neighbor outside the
+    earlier anchors' closed neighborhoods that touches the territory. Raises
+    NotPtFreeError when the path is complete yet the robber escaped every
+    anchor's neighborhood (impossible on truly path-free inputs).
+
+    `table` is the caller's dict for one graph and t. Per anchor path it holds
+    the masks of N[path[:-1]] and N[path] and each territory met, with its next
+    path and that path's cop positions, so each territory is flooded once.
     """
-    # Opportunistic capture: only ever shortens the game.
-    for j, anchor in enumerate(path):
-        if robber == anchor or g.has_edge(anchor, robber):
-            positions = cop_positions(t, path)
-            return positions[:j] + (robber,) + positions[j + 1:], path, None
-
+    entry = table.get(path)
+    if entry is None:
+        before = 0
+        for anchor in path[:-1]:
+            before |= g.closed_masks[anchor]
+        entry = table[path] = (before, before | g.closed_masks[path[-1]], [])
+    before, reach, territories = entry
+    if reach >> robber & 1:  # opportunistic capture: only ever shortens the game
+        j = next(j for j, a in enumerate(path) if g.closed_masks[a] >> robber & 1)
+        positions = cop_positions(t, path)
+        return positions[:j] + (robber,) + positions[j + 1:], path, None
     if len(path) == t - 2:
-        raise NotPtFreeError(t, _escape_certificate(g, t, path, robber))
+        raise NotPtFreeError(t, _escape_certificate(g, t, path, robber, before))
+    for territory, nxt, positions in territories:
+        if territory >> robber & 1:
+            return positions, nxt, territory
+    territory, near = _flood(g, robber, reach)
+    ahead = g.nbr_masks[path[-1]] & near & ~before
+    if not ahead:  # the territory is a component of G - N[v_0..v_(i-1)] next to the tip
+        raise AssertionError(f"invariant violation: no next anchor from tip {path[-1]} "
+                             f"toward component {territory:#x}")
+    nxt = path + ((ahead & -ahead).bit_length() - 1,)
+    territories.append((territory, nxt, cop_positions(t, nxt)))
+    return territories[-1][2], nxt, territory
 
+
+def _flood(g: Graph, robber: int, blocked: int) -> tuple[int, int]:
+    """Masks of the robber's component of G less `blocked`, and of its vertices' neighbors."""
+    component, near, todo = 0, 0, 1 << robber
+    while todo:
+        low = todo & -todo
+        component |= low
+        near |= g.nbr_masks[low.bit_length() - 1]
+        todo = near & ~(blocked | component)
+    return component, near
+
+
+def _escape_certificate(g: Graph, t: int, path: tuple[int, ...], robber: int, before: int) -> tuple[int, ...]:
+    # The earlier anchors, then a shortest tip-robber path outside their N[]: induced, >= t vertices.
     tip = path[-1]
-    earlier = _beyond(g, path[:-1])
-    territory = frozenset(distances_within(g, [robber], earlier - g.adj[tip] - {tip}))
-    nxt = min((w for w in g.adj[tip] & earlier if g.adj[w] & territory), default=None)
-    if nxt is None:
-        # The territory is a component of G - N[v_0..v_(i-1)] next to the tip.
-        raise AssertionError(
-            f"invariant violation: no next anchor from tip {tip} toward "
-            f"component {sorted(territory)}"
-        )
-    path += (nxt,)
-    return cop_positions(t, path), path, territory
-
-
-def _escape_certificate(g: Graph, t: int, path: tuple[int, ...], robber: int) -> tuple[int, ...]:
-    # Anchors plus a shortest path from the tip to the robber through the
-    # vertices outside the earlier anchors' neighborhoods: induced, and at least
-    # t vertices long since the robber is two or more steps away.
-    tip = path[-1]
-    tail = shortest_path_within(g, _beyond(g, path[:-1]) | {tip}, tip, robber)
+    tail = shortest_path_within(g, {v for v in range(g.n) if v == tip or not before >> v & 1}, tip, robber)
     assert tail is not None and len(tail) >= 3
     cert = (list(path[:-1]) + tail)[:t]
     assert verify_induced_path(g, cert), f"bad escape certificate {cert}"
@@ -115,25 +115,27 @@ def _escape_certificate(g: Graph, t: int, path: tuple[int, ...], robber: int) ->
 
 
 class GyarfasCop:
-    """Engine-facing adapter; owns one game's anchor path and its strategy_state records."""
+    """Engine-facing adapter owning one game's anchor path, cop_turn table and strategy_state records."""
 
     def __init__(self, t: int, v0_rule: str = "lowest"):
         self.t = t
         self.v0_rule = v0_rule
         self.path: tuple[int, ...] = ()
+        self.table: dict = {}
         self.records: list[dict] = []
 
     def place(self, g: Graph) -> tuple[int, ...]:
         self.path = initial_placement(g, self.t, self.v0_rule)
+        self.table = {}
         self.records = []
         return self._record("advancing", None)
 
     def move(self, g: Graph, state: GameState) -> tuple[int, ...]:
-        positions, self.path, territory = cop_turn(g, self.t, self.path, state.robber)
+        positions, self.path, territory = cop_turn(g, self.t, self.path, state.robber, self.table)
         if territory is None:  # a capture, recorded with the positions it started from
             self._record("capturing", self.records[-1]["territory"])
         else:
-            self._record("advancing", sorted(territory))
+            self._record("advancing", [v for v in range(g.n) if territory >> v & 1])
         return positions
 
     def _record(self, phase: str, territory: list[int] | None) -> tuple[int, ...]:
@@ -157,21 +159,20 @@ class StrategyAnalysis:
 def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnalysis:
     """Max capture time of the strategy against all robber play, by full search.
 
-    Explores every robber placement and every robber reply against the
-    (deterministic) cop strategy, memoizing on (anchor path, robber), the
-    whole state of a cops' turn. Either every line ends in capture - then
-    max_cop_moves is the exact worst-case count, and on genuinely path-free
-    inputs it is at most t-1 - or some line uncovers an induced t-vertex path,
-    which is returned as a certificate.
+    Explores every robber placement and reply against the (deterministic) cop
+    strategy, memoizing on (anchor path, robber), the whole state of a cops'
+    turn; one cop_turn table serves the search, and the memo keys share its
+    paths. Either every line ends in capture - then max_cop_moves is the exact
+    worst case, at most t-1 on path-free inputs - or some line uncovers an
+    induced t-vertex path, which is returned as a certificate.
     """
     path0 = initial_placement(g, t, v0_rule)
     memo: dict[tuple, int] = {}
-    paths: dict[tuple, tuple] = {}  # one copy of each anchor path, which its keys share
+    table: dict = {}
     # Depth first over frames [key, cops' anchor path, robber replies left, most cop
-    # moves so far], kept in a list rather than on the call stack, so no game is too
-    # long to search. The bottom frame is the placement (cop move 1); its replies
-    # are the robber's starting vertices. A frame starts at 1, the robber's forced
-    # suicide when every reply is occupied.
+    # moves so far], kept in a list, not on the call stack, so no game is too long to
+    # search. The bottom frame is the placement (cop move 1), replied to by the robber's
+    # start. A frame starts at 1, the robber's forced suicide if every reply is occupied.
     stack = [[None, path0, iter(sorted(set(range(g.n)) - set(path0))), 1]]
     value = None  # cop moves still needed from the state just searched, cops to move
     try:
@@ -188,12 +189,11 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
             key = (frame[1], r)
             value = memo.get(key)
             if value is None:
-                moves, nxt, _ = cop_turn(g, t, frame[1], r)
-                if r in moves:
+                _, nxt, territory = cop_turn(g, t, frame[1], r, table)
+                if territory is None:  # a capture
                     memo[key] = value = 1
-                else:
-                    nxt = paths.setdefault(nxt, nxt)
-                    stack.append([key, nxt, iter(sorted(({r} | g.adj[r]) - set(moves))), 1])
+                else:  # r is outside N[path], so of the cops' anchors only the new tip can be in N[r]
+                    stack.append([key, nxt, iter(sorted(({r} | g.adj[r]) - {nxt[-1]})), 1])
     except NotPtFreeError as exc:
         return StrategyAnalysis(t, False, None, exc.certificate, len(memo))
     return StrategyAnalysis(t, True, value, None, len(memo))

@@ -92,9 +92,6 @@ class SolverTable:
                     new ^= low
         return out
 
-    def value(self, cops, robber: int, cops_to_move: bool) -> int | None:
-        return self.values.get((tuple(sorted(cops)), robber, cops_to_move))
-
 
 @dataclass(frozen=True)
 class SolveResult:

@@ -254,6 +254,8 @@ def test_criterion_7_determinism(tmp_path):
     """Identical seeds and inputs give byte-identical JSONL across runs."""
     corpus_file = tmp_path / "det.g6"
     corpus_file.write_text("Dhc\nCh\nD~{\n")  # C_5, P_4, K_5
+    c5_file = tmp_path / "c5.g6"  # simulate takes a single graph
+    c5_file.write_text("Dhc\n")
 
     def run(*argv) -> bytes:
         proc = subprocess.run(
@@ -268,7 +270,7 @@ def test_criterion_7_determinism(tmp_path):
     pairs = [
         ("verify-theorem", str(corpus_file)),
         ("conjecture-search", "--t", "5", "--n", "7", "--samples", "10", "--seed", "5"),
-        ("simulate", str(corpus_file), "--t", "5", "--robber", "random:42"),
+        ("simulate", str(c5_file), "--t", "5", "--robber", "random:42"),
     ]
     for argv in pairs:
         if run(*argv) != run(*argv):

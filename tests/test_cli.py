@@ -362,6 +362,17 @@ class TestSolveAndCopnumber:
         assert rc == 0 and records[0]["cop_number"] == "> 1"
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--t", "5"], ["solve", "--cops", "1"], ["copnumber"]],
+                         ids=["simulate", "solve", "copnumber"])
+def test_single_graph_command_rejects_two_graphs(capsys, tmp_path, argv):
+    # a file of several graphs is an error, not an answer for its first graph
+    path = tmp_path / "two.g6"
+    path.write_text("DhC\nBw\n")
+    rc, records = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert rc == 2
+    assert records == [{"type": "error", "error": f"{path} holds more than one graph; this command takes one"}]
+
+
 class TestVerifyTheorem:
     def test_small_corpus_passes(self, capsys, corpus_file):
         rc, records = run_cli(capsys, "verify-theorem", corpus_file)

@@ -28,7 +28,7 @@ from copslab.gyarfas import (
 from copslab.induced import longest_induced_path_order, verify_induced_path
 from copslab.robbers import GreedyRobber, RandomRobber
 
-from conftest import ScriptedRobber
+from conftest import ScriptedRobber, sparse_graphs
 
 
 class TestInitialPlacement:
@@ -153,22 +153,24 @@ def reference_analysis(g, t, v0_rule):
 
     It carries its own territory by the incremental rule - all of V at first, then
     the robber's component of the previous territory less N[tip] - and checks that
-    cop_turn derives the same territory, and advances to the same anchor, from the
-    path alone.
+    cop_turn's table gives the same territory, and advances to the same anchor, from
+    the path alone, at every (path, robber) the search reaches.
     """
     path0 = initial_placement(g, t, v0_rule)
     memo = {}
+    table = {}
 
     def needed(path, territory, r):  # cop moves still needed with the cops to move
         key = (path, territory, r)
         if key not in memo:
-            moves, nxt, derived = cop_turn(g, t, path, r)
+            moves, nxt, derived = cop_turn(g, t, path, r, table)
             if r in moves:
+                assert derived is None, (path, r)
                 memo[key] = 1
             else:
                 tip = path[-1]
                 own = frozenset(distances_within(g, [r], territory - g.adj[tip] - {tip}))
-                assert derived == own, (path, r)
+                assert derived == sum(1 << v for v in own), (path, r)
                 assert nxt == path + (min(w for w in g.adj[tip] & territory if g.adj[w] & own),)
                 replies = sorted(({r} | g.adj[r]) - set(moves))
                 memo[key] = max([1] + [1 + needed(nxt, own, reply) for reply in replies])
@@ -203,6 +205,16 @@ class TestMemoKeyOracle:
             captured, worst, cert, states = reference_analysis(g, t, v0_rule)
             assert (a.captured_all, a.max_cop_moves, a.certificate) == (captured, worst, cert), (name, t)
             assert a.states_explored <= states, (name, t)
+
+    @given(sparse_graphs(max_n=12).filter(Graph.is_connected))
+    @settings(max_examples=40, deadline=None)
+    def test_table_matches_incremental_territory(self, g):
+        # every t from 3 to n+1, so lines that end in capture and in a certificate
+        for t in range(3, g.n + 2):
+            for v0_rule in ("lowest", "max_degree"):
+                a = analyze_strategy(g, t, v0_rule)
+                captured, worst, cert, _ = reference_analysis(g, t, v0_rule)
+                assert (a.captured_all, a.max_cop_moves, a.certificate) == (captured, worst, cert), t
 
 
 class TestNotPtFree:
@@ -277,18 +289,41 @@ class TestCopTurnDirect:
         # on the diamond (C_4 0-1-2-3 plus the chord 1-3) vertex 3 sees both anchors 0
         # and 1: the lower-indexed anchor's cop moves
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+        table = {}
         path = initial_placement(g, 4)
-        moves, path, territory = cop_turn(g, 4, path, 2)  # advance toward the robber
-        assert path == (0, 1) and territory == {2}
-        moves, path2, territory = cop_turn(g, 4, path, 3)
+        moves, path, territory = cop_turn(g, 4, path, 2, table)  # advance toward the robber
+        assert path == (0, 1) and territory == 1 << 2
+        moves, path2, territory = cop_turn(g, 4, path, 3, table)
         assert path2 == path and territory is None  # a capture
         assert moves == (3, 1)
 
     def test_not_pt_free_raised_directly(self):
         g = path_graph(6)
+        table = {}
         path = initial_placement(g, 5)
         robber = 5
         with pytest.raises(NotPtFreeError) as info:
             for _ in range(5):
-                moves, path, _ = cop_turn(g, 5, path, robber)
+                moves, path, _ = cop_turn(g, 5, path, robber, table)
         assert verify_induced_path(g, list(info.value.certificate))
+
+    def test_one_territory_shares_its_next_path(self):
+        # on C_6 with v0 = 0, G - N[0] is the one territory {2, 3, 4}
+        g = cycle_graph(6)
+        table = {}
+        path = initial_placement(g, 6)
+        first = cop_turn(g, 6, path, 2, table)
+        second = cop_turn(g, 6, path, 4, table)
+        assert first[1] == (0, 1) and first[2] == second[2] == 0b11100
+        assert first[1] is second[1]  # one tuple, which the analysis memo keys share
+        assert len(table[path][2]) == 1
+
+    def test_each_territory_gets_its_own_next_anchor(self):
+        # the spider with legs 0-1-2, 0-3-4 and 0-5-6: G - N[0] is {2}, {4} and {6}
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        table = {}
+        path = initial_placement(g, 5)
+        nexts = [cop_turn(g, 5, path, r, table)[1:] for r in (6, 2, 4, 2)]
+        assert nexts == [((0, 5), 1 << 6), ((0, 1), 1 << 2), ((0, 3), 1 << 4), ((0, 1), 1 << 2)]
+        assert nexts[1][0] is nexts[3][0]
+        assert len(table[path][2]) == 3

@@ -66,7 +66,7 @@ class TestOptimal:
         assert not result.cop_win
         robber = OptimalRobber(table)
         start = robber.place(g, (0,))
-        assert table.value((0,), start, True) is None
+        assert table.values.get(((0,), start, True)) is None
         trace = play(g, ScriptedCop((0,), [(1,), (2,), (3,), (0,)]), robber, move_limit=12)
         assert trace.outcome.result == ROBBER_SURVIVED
 
