@@ -1,19 +1,26 @@
 """Induced-path detection: verification, exact longest-path search, freeness tests.
 
-The search is an exact branch-and-bound DFS over bitsets with an explicit
-stack, so no path order runs into the recursion limit. It visits starts and
-extensions in ascending order and skips only subtrees that cannot hold a path
-strictly longer than the best found so far, so it reports the same path as
-the unpruned DFS. The bound, cheapest first: the free vertices (outside the
-path and its neighbourhood), then those a flood from the tip's candidates
-reaches through them, then, close to the cut-off, that count less all but one
-of the reached vertices that could only end the path. `is_pt_free(g, t)`
-runs the same search as if a path of t-1 vertices were already known, so
-every subtree that cannot reach t vertices is skipped from the first node on,
-and the first t-vertex path in DFS order is still its certificate. Sized for
-desk-scale corpora: uncapped on sparse G(n, c/n) (c ~ 4-5) up to n = 36,
-capped P_t-freeness checks to n ~ 30, and paths and cycles such as P_1500 and
-C_1500.
+`longest_induced_path_order` works in two steps. The order comes from a
+vertex elimination: vertices are taken by degree, highest first, and each
+gets one branch-and-bound search for the longest induced path through it
+among the vertices not yet deleted, built as two arms from it, longer arm
+first; then it is deleted. Each search sees a sparser graph than the last,
+which is what makes showing that no longer path exists cheap. The witness,
+and `is_pt_free`'s certificate, come from a first-path DFS: it visits starts
+and extensions in ascending order and returns the first induced path of
+exactly the order asked for, skipping only subtrees that cannot reach it, so
+it reports the unpruned DFS's path. Where the DFS's first descent already
+reaches the order, that descent is the witness; grown at its first vertex as
+well, it gives the elimination its first lower bound.
+
+Both searches run over bitsets with explicit stacks, so no path order runs
+into the recursion limit. Their bounds, cheapest first: the free vertices
+(outside the path and its neighbourhood), then those a flood from the
+candidates reaches through them, then, close to the cut-off, that count less
+the reached vertices that could only end an arm, all but one per arm. Sized
+for desk-scale corpora: uncapped on sparse G(n, c/n) (c ~ 4-5) up to n = 36,
+capped P_t-freeness checks to n ~ 30, and paths and cycles such as P_1500
+and C_1500.
 Heuristics are deliberately out of scope: downstream checks need the true
 induced-path order.
 """
@@ -49,32 +56,176 @@ def longest_induced_path_order(
 ) -> tuple[int, list[int]]:
     """Number of vertices in a maximum-order induced path, with a witness.
 
-    With `cap`, the search stops as soon as any induced path of `cap` vertices
-    is found and reports (cap, witness). The witness is the first optimum in
-    DFS order (start vertices ascending, extensions ascending); that order is
-    deterministic but not promised to be the lexicographic minimum. Pruning
-    skips only subtrees without a strictly longer path, so it never changes
-    which path is reported.
+    With `cap`, the order reported is min(optimum, cap), and the witness is a
+    path of that many vertices. The witness is the first path of the reported
+    order in DFS order (start vertices ascending, extensions ascending), so
+    uncapped it is the first optimum in DFS order; that order is deterministic
+    but not promised to be the lexicographic minimum.
     """
     if g.n == 0:
         return 0, []
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    path = _search(g, 1, cap) if cap != 1 else None
-    return (1, [0]) if path is None else (len(path), path)
+    target = g.n if cap is None else min(cap, g.n)
+    nbr = g.nbr_masks
+    # The DFS's first descent: each of its prefixes is the first path of its
+    # order in DFS order, so where it reaches the optimum it is the witness.
+    descent = _descend(nbr, [0], 1, target)
+    # Grown at vertex 0 as well, it is a longer lower bound for the elimination.
+    closed = 1
+    for v in descent[1:]:
+        closed |= 1 << v | nbr[v]
+    grown = _descend(nbr, [0], closed, target - len(descent) + 1)
+    order = _order(g, target, len(descent) + len(grown) - 1)
+    return order, descent if len(descent) == order else _first_path(g, order)
 
 
-def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
-    """The last of the successively longer induced paths found, or None.
+def _descend(nbr: tuple[int, ...], path: list[int], closed: int, most: int) -> list[int]:
+    """`path` extended at its last vertex along the lowest extensions, to at most `most` vertices.
 
-    The DFS starts as if a path of `known` >= 1 vertices had already been
-    found, so it records, and bounds against, only paths with more vertices;
-    with `cap` it returns the first path of `cap` vertices.
+    `closed` holds the path's vertices and the neighbours of all but its last.
+    """
+    tip = path[-1]
+    while len(path) < most:
+        cand = nbr[tip] & ~closed
+        if not cand:
+            break
+        closed |= nbr[tip]
+        low = cand & -cand
+        closed |= low
+        tip = low.bit_length() - 1
+        path.append(tip)
+    return path
+
+
+def _order(g: Graph, target: int, best: int) -> int:
+    """min(target, order of a longest induced path) of a nonempty g, by vertex elimination.
+
+    `best` is the order of an induced path already known. Vertices are taken
+    by degree, highest first (ties by label). Each gets one search for the
+    longest induced path through it among the vertices still alive, and is
+    then deleted; the elimination stops once `best` reaches `target` or the
+    number of live vertices.
+
+    The path through v is two arms from v. The DFS grows arm A from v; once a
+    node's A-extensions are all tried, it opens again as the root of arm B,
+    which grows from v's other side by at most as many vertices as A has, so
+    each path is searched with its longer arm as A. A node is skipped when its
+    arms cannot add more than best - len(path) vertices between them: one
+    candidate each (A's from the tip, B's from v; two only if some pair of
+    them is non-adjacent), then free vertices, which a flood from both arms'
+    candidates bounds (see _Flood). The root always floods, so a vertex whose
+    component holds at most `best` vertices is skipped there.
     """
     n = g.n
     nbr = g.nbr_masks
-    best_order = known
-    best_path = None
+    full = (1 << n) - 1
+    alive = full
+    # One frame per node with extensions: those not yet tried in `cands`; in
+    # `frames` the vertices closed to every extension (path vertices, their
+    # neighbours and the vertices not alive), the candidates for B's first
+    # vertex (v's neighbours outside the rest of that set; 0 on arm B), for a
+    # node with a single extension its flood, and the most vertices a path in
+    # the subtree may have.
+    cands: list[int] = []
+    frames: list[tuple[int, int, _Flood | None, int]] = []
+    degree = [len(near) for near in g.adj]
+    for v in sorted(range(n), key=degree.__getitem__, reverse=True):
+        if best >= target or best >= alive.bit_count():
+            break
+        alive ^= 1 << v
+        cand = turn = nbr[v] & alive
+        # A path through v holds at most two of its neighbours, and at least
+        # one unless it is v alone.
+        if not cand or (alive & ~nbr[v]).bit_count() + 3 <= best:
+            continue
+        size = 1  # vertices on the path
+        blocked = full ^ alive | nbr[v]
+        flood = None
+        most = target
+        while True:
+            if not cand:
+                # Arm A ends here: open the node as the root of arm B.
+                cand, turn, flood, most = turn, 0, None, 2 * size - 1
+            # The subtree matters only if its arms can add more than best -
+            # size vertices: one candidate each, then at least `room` free
+            # vertices (outside the path and its neighbourhood).
+            room = best - size
+            arms = 1
+            if room > 0 and turn:
+                # Both arms grow only from two non-adjacent candidates.
+                rest = cand
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if turn & ~nbr[low.bit_length() - 1] & ~low:
+                        arms = 2
+                        room -= 1
+                        break
+            if room > 0:
+                free = full ^ blocked
+                spare = free.bit_count() - room
+                if spare < 0:
+                    cand = 0
+                elif size == 1 or spare < 3 and room > 2:
+                    # A flood prunes only by leaving out more than `spare` free
+                    # vertices, and near the leaves the subtree costs less than
+                    # the flood; at the root it bounds v's component.
+                    if flood is None or (not flood.whole and flood.size < room + 2):
+                        flood = _Flood(nbr, cand | turn, free, room + 2)
+                    if flood.whole and flood.cannot_improve(nbr, cand | turn, room, arms, -1):
+                        cand = 0
+            if cand:
+                cands.append(cand)
+                frames.append((blocked, turn, flood if cand & (cand - 1) == 0 else None, most))
+            else:
+                size -= 1
+            # Move on to the next node to open; a leaf needs no opening.
+            while cands:
+                cand = cands[-1]
+                if not cand:
+                    cands.pop()
+                    blocked, turn, _, most = frames.pop()
+                    if turn and 2 * size - 1 > best:
+                        # Open the node again as the root of arm B.
+                        cand, turn, flood, most = turn, 0, None, 2 * size - 1
+                        break
+                    size -= 1
+                    continue
+                low = cand & -cand
+                cands[-1] = cand ^ low
+                tip = low.bit_length() - 1
+                size += 1
+                if size > best:
+                    best = size
+                    if best >= target:
+                        return best
+                blocked, turn, flood, most = frames[-1]
+                turn &= ~nbr[tip] & ~low
+                blocked |= low
+                cand = nbr[tip] & ~blocked
+                if cand and most > best or turn and 2 * size - 1 > best:
+                    blocked |= nbr[tip]
+                    if flood is not None:
+                        flood = flood.after(nbr[tip])
+                    break
+                size -= 1
+            else:
+                break
+    return best
+
+
+def _first_path(g: Graph, t: int) -> list[int] | None:
+    """The first induced path of exactly t >= 1 vertices in DFS order, or None.
+
+    The DFS visits starts and extensions in ascending order and skips only
+    subtrees that cannot reach t vertices, so its answer is the unpruned
+    search's.
+    """
+    n = g.n
+    if t == 1:
+        return [0] if n else None
+    nbr = g.nbr_masks
     full = (1 << n) - 1
     path: list[int] = []
     # One frame per path vertex: the extensions not yet tried, the vertices
@@ -94,8 +245,8 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
             blocked |= nbr[tip]
             # The subtree matters only if it can add more than `room` vertices:
             # one candidate, then free vertices (outside the path and its
-            # neighbourhood). With room <= 0 any extension is an improvement.
-            room = best_order - len(path)
+            # neighbourhood).
+            room = t - 1 - len(path)
             if cand and room > 0:
                 free = full ^ blocked
                 if free.bit_count() < room:
@@ -105,7 +256,7 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
                     # inherited from the parent that is that large is not redone.
                     if flood is None or (not flood.whole and flood.size < room + 2):
                         flood = _Flood(nbr, cand, free, room + 2)
-                    if flood.whole and flood.cannot_improve(nbr, cand, room, path[0]):
+                    if flood.whole and flood.cannot_improve(nbr, cand, room, 1, start):
                         cand = 0
             if cand:
                 cands.append(cand)
@@ -125,16 +276,13 @@ def _search(g: Graph, known: int, cap: int | None) -> list[int] | None:
             cands[-1] = cand ^ low
             tip = low.bit_length() - 1
             path.append(tip)
-            if len(path) > best_order:
-                best_order = len(path)
-                best_path = path.copy()
-                if cap is not None and best_order >= cap:
-                    return best_path
+            if len(path) == t:
+                return path
             blocked = closed[-1] | low
             flood = floods[-1]
             if flood is not None:
                 flood = flood.after(nbr[tip])
-    return best_path
+    return None
 
 
 class _Flood:
@@ -178,13 +326,15 @@ class _Flood:
     def after(self, tip_nbr: int) -> "_Flood":
         """The flood of this node's only child, whose tip has neighbourhood `tip_nbr`.
 
-        The child's candidates are the tip's free neighbours, which make up
-        this flood's first layer, and its free vertices are this node's less
-        those. Every other reached vertex connects to that layer through free
-        vertices outside it, so the child's flood is this one less the child's
-        candidates; a partial flood stays a lower bound. The vertices that
+        The child's candidates on the tip's arm are the tip's free neighbours,
+        which this flood reached first, and its free vertices are this node's
+        less those. Every other reached vertex connects to them through free
+        vertices outside them, so with one arm the child's flood is this one
+        less the child's candidates, and a partial flood stays a lower bound.
+        With two arms, B's candidates can only shrink, so a whole flood carried
+        over is an upper bound, which is all pruning needs. The vertices that
         stay are not adjacent to the tip, so their degrees within
-        reach | candidates, and with them the ends, carry over.
+        reach | candidates cannot grow, and the ends carry over.
         """
         child = _Flood.__new__(_Flood)
         child.reach = self.reach & ~tip_nbr
@@ -193,14 +343,14 @@ class _Flood:
         child.ends = None if self.ends is None else self.ends & ~tip_nbr
         return child
 
-    def cannot_improve(self, nbr: tuple[int, ...], cand: int, room: int, first: int) -> bool:
-        """Whether no extension by more than `room` vertices fits in the whole flood.
+    def cannot_improve(self, nbr: tuple[int, ...], cand: int, room: int, arms: int, first: int) -> bool:
+        """Whether `arms` arms, each a candidate then reached vertices, hold fewer than `room` of the latter.
 
-        An extension has at most 1 + size vertices. Within 2 of `room` the
-        bound is tightened: a reached vertex with at most one neighbour in
-        reach | cand can only end the extension, so at most one of them counts,
-        and none labelled below `first`: such a path was already searched from
-        that end, as a start vertex below `first`.
+        They hold at most `size`. Within 2 of `room` the bound is tightened: a
+        reached vertex with at most one neighbour in reach | cand can only end
+        an arm, so at most one of them counts per arm, and none labelled below
+        `first`: such a path was already searched from that end, as a start
+        vertex below `first` (-1 where no such order holds).
         """
         if self.size < room:
             return True
@@ -216,8 +366,9 @@ class _Flood:
                 if (nbr[low.bit_length() - 1] & region).bit_count() <= 1:
                     ends |= low
             self.ends = ends
-        late = self.ends >> (first + 1) != 0
-        return self.size - self.ends.bit_count() + late < room
+        late = self.ends >> (first + 1)
+        kept = (late != 0) + (arms > 1 and late & (late - 1) != 0)
+        return self.size - self.ends.bit_count() + kept < room
 
 
 def is_pt_free(g: Graph, t: int) -> tuple[bool, list[int] | None]:
@@ -230,9 +381,5 @@ def is_pt_free(g: Graph, t: int) -> tuple[bool, list[int] | None]:
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if t == 1:
-        return (True, None) if g.n == 0 else (False, [0])
-    # Searching as if a path of t-1 vertices were known prunes, from the
-    # first node on, every subtree that cannot reach t vertices.
-    path = _search(g, t - 1, t)
+    path = _first_path(g, t)
     return (True, None) if path is None else (False, path)

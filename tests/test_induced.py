@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copslab.corpus import theorem_corpus
 from copslab.generators import complete_graph, cycle_graph, path_graph, petersen_graph
-from copslab.induced import is_pt_free, longest_induced_path_order, verify_induced_path
+from copslab.graphs import Graph, parse_graph6
+from copslab.induced import _order, is_pt_free, longest_induced_path_order, verify_induced_path
 
 from conftest import brute_longest_induced_path, graphs, sparse_graphs
 from reference_induced import reference_longest_induced_path_order
+
+HUNT = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "hunt.txt"
 
 
 class TestVerifyInducedPath:
@@ -74,18 +79,40 @@ class TestLongestInducedPath:
         assert len(witness) == order
 
 
-def assert_matches_reference(g):
+def assert_matches_reference(g, brute=False):
     """Same answers as the unpruned search, uncapped and at every cap or t up to order + 1.
 
-    `longest_induced_path_order` gives the same (order, witness); `is_pt_free`
-    gives (free, certificate) with the capped search's witness as certificate.
+    `longest_induced_path_order` gives the same (order, witness), and the
+    elimination search alone the same order; `is_pt_free` gives (free,
+    certificate) with the capped search's witness as certificate. With
+    `brute`, the order is also checked against subset enumeration.
     """
     order, _ = reference_longest_induced_path_order(g)
+    if brute:
+        assert brute_longest_induced_path(g) == order
     for cap in [None, *range(1, order + 2)]:
-        assert longest_induced_path_order(g, cap) == reference_longest_induced_path_order(g, cap), cap
+        expected = reference_longest_induced_path_order(g, cap)
+        assert longest_induced_path_order(g, cap) == expected, cap
+        assert _order(g, g.n if cap is None else min(cap, g.n), 1) == expected[0], cap
     for t in range(1, order + 2):
         found, witness = reference_longest_induced_path_order(g, t)
         assert is_pt_free(g, t) == ((True, None) if found < t else (False, witness)), t
+
+
+@st.composite
+def tied_graphs(draw):
+    """Disjoint unions of up to three circulants on 1-6 vertices, relabelled at random.
+
+    Every vertex of a circulant has the same degree, so the elimination order
+    rests on its tie-break, and most draws are disconnected.
+    """
+    edges: set[tuple[int, int]] = set()
+    n = 0
+    for size, jumps in draw(st.lists(st.tuples(st.integers(1, 6), st.sets(st.integers(1, 3))), min_size=1, max_size=3)):
+        edges |= {(n + i, n + (i + j) % size) for i in range(size) for j in jumps if j % size}
+        n += size
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
 class TestMatchesReferenceSearch:
@@ -97,6 +124,19 @@ class TestMatchesReferenceSearch:
     @settings(max_examples=150, deadline=None)
     def test_sparse_graphs(self, g):
         assert_matches_reference(g)
+
+    @given(st.one_of(tied_graphs(), graphs(max_n=9)))
+    @settings(max_examples=150, deadline=None)
+    def test_elimination_on_ties_and_components(self, g):
+        assert_matches_reference(g, brute=True)
+
+    def test_hunt_corpus_orders(self):
+        # the first 30 benchmark graphs with their stored order L (tag, graph6)
+        lines = HUNT.read_text().splitlines()[:30]
+        assert len(lines) == 30
+        for line in lines:
+            tag, text = line.split()
+            assert longest_induced_path_order(parse_graph6(text))[0] == int(tag), text
 
 
 class TestPtFree:
