@@ -1,20 +1,18 @@
 """Induced-path detection: verification, exact longest-path search, freeness tests.
 
-`longest_induced_path_order` works in two steps. The order comes from a
-vertex elimination: vertices are taken by degree, highest first, and each
-gets one branch-and-bound search for the longest induced path through it
-among the vertices not yet deleted, built as two arms from it, longer arm
-first; then it is deleted. Each search sees a sparser graph than the last,
-which is what makes showing that no longer path exists cheap. The witness,
-and `is_pt_free`'s certificate, come from a first-path DFS: it visits starts
-and extensions in ascending order and returns the first induced path of
-exactly the order asked for, skipping only subtrees that cannot reach it, so
-it reports the unpruned DFS's path. Where the DFS's first descent already
-reaches the order, that descent is the witness; grown at its first vertex as
-well, it gives the elimination its first lower bound.
+`longest_induced_path_order` runs one search, a vertex elimination: vertices
+are taken by degree, highest first, and each gets one branch-and-bound search
+for the longest induced path through it among the vertices not yet deleted,
+built as two arms from it, longer arm first; then it is deleted. Each search
+sees a sparser graph than the last, which is what makes showing that no longer
+path exists cheap. The elimination keeps the path behind its best order, and
+that path is the witness. Its first lower bound is the lowest descent from
+vertex 0, grown at vertex 0 as well, which stands as the witness until a
+longer path is found. `is_pt_free(g, t)` is the same search capped at t: its
+certificate is the capped witness.
 
-Both searches run over bitsets with explicit stacks, so no path order runs
-into the recursion limit. Their bounds, cheapest first: the free vertices
+The search runs over bitsets with an explicit stack, so no path order runs
+into the recursion limit. Its bounds, cheapest first: the free vertices
 (outside the path and its neighbourhood), then those a flood from the
 candidates reaches through them, then, close to the cut-off, that count less
 the reached vertices that could only end an arm, all but one per arm. Sized
@@ -57,10 +55,9 @@ def longest_induced_path_order(
     """Number of vertices in a maximum-order induced path, with a witness.
 
     With `cap`, the order reported is min(optimum, cap), and the witness is a
-    path of that many vertices. The witness is the first path of the reported
-    order in DFS order (start vertices ascending, extensions ascending), so
-    uncapped it is the first optimum in DFS order; that order is deterministic
-    but not promised to be the lexicographic minimum.
+    path of exactly that many vertices. The witness is the path the vertex
+    elimination found (see `_order`); it is deterministic from the input but
+    not promised to be the first such path in label order.
     """
     if g.n == 0:
         return 0, []
@@ -68,16 +65,15 @@ def longest_induced_path_order(
         raise ValueError(f"cap must be >= 1, got {cap}")
     target = g.n if cap is None else min(cap, g.n)
     nbr = g.nbr_masks
-    # The DFS's first descent: each of its prefixes is the first path of its
-    # order in DFS order, so where it reaches the optimum it is the witness.
+    # The lowest descent from vertex 0, grown at vertex 0 as well, is the first
+    # known path: arm B reversed, vertex 0, arm A, as the elimination keeps them.
     descent = _descend(nbr, [0], 1, target)
-    # Grown at vertex 0 as well, it is a longer lower bound for the elimination.
     closed = 1
     for v in descent[1:]:
         closed |= 1 << v | nbr[v]
     grown = _descend(nbr, [0], closed, target - len(descent) + 1)
-    order = _order(g, target, len(descent) + len(grown) - 1)
-    return order, descent if len(descent) == order else _first_path(g, order)
+    path = _order(g, target, grown[::-1] + descent[1:])
+    return len(path), path
 
 
 def _descend(nbr: tuple[int, ...], path: list[int], closed: int, most: int) -> list[int]:
@@ -98,37 +94,44 @@ def _descend(nbr: tuple[int, ...], path: list[int], closed: int, most: int) -> l
     return path
 
 
-def _order(g: Graph, target: int, best: int) -> int:
-    """min(target, order of a longest induced path) of a nonempty g, by vertex elimination.
+def _order(g: Graph, target: int, path: list[int]) -> list[int]:
+    """A longest induced path of a nonempty g, capped at `target` vertices, by vertex elimination.
 
-    `best` is the order of an induced path already known. Vertices are taken
-    by degree, highest first (ties by label). Each gets one search for the
-    longest induced path through it among the vertices still alive, and is
-    then deleted; the elimination stops once `best` reaches `target` or the
-    number of live vertices.
+    `path` is an induced path already known, of `best` <= `target` vertices.
+    Vertices are taken by degree, highest first (ties by label). Each gets one
+    search for the longest induced path through it among the vertices still
+    alive, and is then deleted; the elimination stops once `best` reaches
+    `target` or the number of live vertices. Each longer path the search finds
+    (arm B reversed, v, arm A) replaces `path`; `best` rises one vertex at a
+    time, so `path` is copied at most `target` times.
 
     The path through v is two arms from v. The DFS grows arm A from v; once a
     node's A-extensions are all tried, it opens again as the root of arm B,
     which grows from v's other side by at most as many vertices as A has, so
     each path is searched with its longer arm as A. A node is skipped when its
-    arms cannot add more than best - len(path) vertices between them: one
-    candidate each (A's from the tip, B's from v; two only if some pair of
-    them is non-adjacent), then free vertices, which a flood from both arms'
-    candidates bounds (see _Flood). The root always floods, so a vertex whose
-    component holds at most `best` vertices is skipped there.
+    arms cannot add more than best - size vertices between them (size: the
+    vertices on its path): one candidate each (A's from the tip, B's from v;
+    two only if some pair of them is non-adjacent), then free vertices, which
+    a flood from both arms' candidates bounds (see _Flood). The root always
+    floods, so a vertex whose component holds at most `best` vertices is
+    skipped there.
     """
     n = g.n
     nbr = g.nbr_masks
     full = (1 << n) - 1
     alive = full
+    best = len(path)
+    # The current path, as v, arm A and then arm B from v, in its first `size` slots.
+    trail = [0] * target
     # One frame per node with extensions: those not yet tried in `cands`; in
     # `frames` the vertices closed to every extension (path vertices, their
     # neighbours and the vertices not alive), the candidates for B's first
     # vertex (v's neighbours outside the rest of that set; 0 on arm B), for a
-    # node with a single extension its flood, and the most vertices a path in
-    # the subtree may have.
+    # node with a single extension its flood, the most vertices a path in the
+    # subtree may have, and on arm B the number of vertices on v and arm A (0
+    # on arm A).
     cands: list[int] = []
-    frames: list[tuple[int, int, _Flood | None, int]] = []
+    frames: list[tuple[int, int, _Flood | None, int, int]] = []
     degree = [len(near) for near in g.adj]
     for v in sorted(range(n), key=degree.__getitem__, reverse=True):
         if best >= target or best >= alive.bit_count():
@@ -140,13 +143,15 @@ def _order(g: Graph, target: int, best: int) -> int:
         if not cand or (alive & ~nbr[v]).bit_count() + 3 <= best:
             continue
         size = 1  # vertices on the path
+        trail[0] = v
         blocked = full ^ alive | nbr[v]
         flood = None
         most = target
+        split = 0
         while True:
             if not cand:
                 # Arm A ends here: open the node as the root of arm B.
-                cand, turn, flood, most = turn, 0, None, 2 * size - 1
+                cand, turn, flood, most, split = turn, 0, None, 2 * size - 1, size
             # The subtree matters only if its arms can add more than best -
             # size vertices: one candidate each, then at least `room` free
             # vertices (outside the path and its neighbourhood).
@@ -173,11 +178,11 @@ def _order(g: Graph, target: int, best: int) -> int:
                     # the flood; at the root it bounds v's component.
                     if flood is None or (not flood.whole and flood.size < room + 2):
                         flood = _Flood(nbr, cand | turn, free, room + 2)
-                    if flood.whole and flood.cannot_improve(nbr, cand | turn, room, arms, -1):
+                    if flood.whole and flood.cannot_improve(nbr, cand | turn, room, arms):
                         cand = 0
             if cand:
                 cands.append(cand)
-                frames.append((blocked, turn, flood if cand & (cand - 1) == 0 else None, most))
+                frames.append((blocked, turn, flood if cand & (cand - 1) == 0 else None, most, split))
             else:
                 size -= 1
             # Move on to the next node to open; a leaf needs no opening.
@@ -185,22 +190,24 @@ def _order(g: Graph, target: int, best: int) -> int:
                 cand = cands[-1]
                 if not cand:
                     cands.pop()
-                    blocked, turn, _, most = frames.pop()
+                    blocked, turn, _, most, _ = frames.pop()
                     if turn and 2 * size - 1 > best:
                         # Open the node again as the root of arm B.
-                        cand, turn, flood, most = turn, 0, None, 2 * size - 1
+                        cand, turn, flood, most, split = turn, 0, None, 2 * size - 1, size
                         break
                     size -= 1
                     continue
                 low = cand & -cand
                 cands[-1] = cand ^ low
                 tip = low.bit_length() - 1
+                trail[size] = tip
                 size += 1
+                blocked, turn, flood, most, split = frames[-1]
                 if size > best:
                     best = size
+                    path = trail[size - 1:split - 1:-1] + trail[:split] if split else trail[:size]
                     if best >= target:
-                        return best
-                blocked, turn, flood, most = frames[-1]
+                        return path
                 turn &= ~nbr[tip] & ~low
                 blocked |= low
                 cand = nbr[tip] & ~blocked
@@ -212,77 +219,7 @@ def _order(g: Graph, target: int, best: int) -> int:
                 size -= 1
             else:
                 break
-    return best
-
-
-def _first_path(g: Graph, t: int) -> list[int] | None:
-    """The first induced path of exactly t >= 1 vertices in DFS order, or None.
-
-    The DFS visits starts and extensions in ascending order and skips only
-    subtrees that cannot reach t vertices, so its answer is the unpruned
-    search's.
-    """
-    n = g.n
-    if t == 1:
-        return [0] if n else None
-    nbr = g.nbr_masks
-    full = (1 << n) - 1
-    path: list[int] = []
-    # One frame per path vertex: the extensions not yet tried, the vertices
-    # closed to every extension (path vertices and their neighbours), and for
-    # a node with a single extension its flood (see _Flood).
-    cands: list[int] = []
-    closed: list[int] = []
-    floods: list[_Flood | None] = []
-    for start in range(n):
-        tip, blocked = start, 1 << start
-        path.append(start)
-        flood = None
-        while True:
-            # Open the node whose path ends at tip; blocked = path vertices plus
-            # everything adjacent to a non-tip path vertex.
-            cand = nbr[tip] & ~blocked
-            blocked |= nbr[tip]
-            # The subtree matters only if it can add more than `room` vertices:
-            # one candidate, then free vertices (outside the path and its
-            # neighbourhood).
-            room = t - 1 - len(path)
-            if cand and room > 0:
-                free = full ^ blocked
-                if free.bit_count() < room:
-                    cand = 0
-                else:
-                    # A flood holding room + 2 vertices cannot prune, so one
-                    # inherited from the parent that is that large is not redone.
-                    if flood is None or (not flood.whole and flood.size < room + 2):
-                        flood = _Flood(nbr, cand, free, room + 2)
-                    if flood.whole and flood.cannot_improve(nbr, cand, room, 1, start):
-                        cand = 0
-            if cand:
-                cands.append(cand)
-                closed.append(blocked)
-                floods.append(flood if cand & (cand - 1) == 0 else None)
-            else:
-                path.pop()
-            while cands and not cands[-1]:
-                cands.pop()
-                closed.pop()
-                floods.pop()
-                path.pop()
-            if not cands:
-                break
-            cand = cands[-1]
-            low = cand & -cand
-            cands[-1] = cand ^ low
-            tip = low.bit_length() - 1
-            path.append(tip)
-            if len(path) == t:
-                return path
-            blocked = closed[-1] | low
-            flood = floods[-1]
-            if flood is not None:
-                flood = flood.after(nbr[tip])
-    return None
+    return path
 
 
 class _Flood:
@@ -343,14 +280,12 @@ class _Flood:
         child.ends = None if self.ends is None else self.ends & ~tip_nbr
         return child
 
-    def cannot_improve(self, nbr: tuple[int, ...], cand: int, room: int, arms: int, first: int) -> bool:
+    def cannot_improve(self, nbr: tuple[int, ...], cand: int, room: int, arms: int) -> bool:
         """Whether `arms` arms, each a candidate then reached vertices, hold fewer than `room` of the latter.
 
         They hold at most `size`. Within 2 of `room` the bound is tightened: a
         reached vertex with at most one neighbour in reach | cand can only end
-        an arm, so at most one of them counts per arm, and none labelled below
-        `first`: such a path was already searched from that end, as a start
-        vertex below `first` (-1 where no such order holds).
+        an arm, so at most one of them counts per arm.
         """
         if self.size < room:
             return True
@@ -366,20 +301,20 @@ class _Flood:
                 if (nbr[low.bit_length() - 1] & region).bit_count() <= 1:
                     ends |= low
             self.ends = ends
-        late = self.ends >> (first + 1)
-        kept = (late != 0) + (arms > 1 and late & (late - 1) != 0)
-        return self.size - self.ends.bit_count() + kept < room
+        ends = self.ends
+        kept = (ends != 0) + (arms > 1 and ends & (ends - 1) != 0)
+        return self.size - ends.bit_count() + kept < room
 
 
 def is_pt_free(g: Graph, t: int) -> tuple[bool, list[int] | None]:
     """Whether g has no induced path on t vertices.
 
-    When it does, also returns one such path (exactly t vertices) as a
-    certificate; the certificate always passes `verify_induced_path`. It is
-    the first t-vertex path in DFS order, the witness of
-    `longest_induced_path_order(g, cap=t)`.
+    It is `longest_induced_path_order(g, cap=t)` read as a verdict: g is free
+    iff the capped order is below t. When it is not, the capped witness
+    (exactly t vertices, so it passes `verify_induced_path`) is returned as a
+    certificate.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    path = _first_path(g, t)
-    return (True, None) if path is None else (False, path)
+    order, path = longest_induced_path_order(g, cap=t)
+    return (True, None) if order < t else (False, path)

@@ -1,12 +1,12 @@
 """Reference induced-path search: the unpruned recursive bitset DFS.
 
-This is an earlier `copslab.induced.longest_induced_path_order`, kept as an
-oracle for differential tests of the package's pruned searches: the vertex
-elimination that finds the order and the first-path DFS that finds the
-witness. It visits every induced path (starts ascending, extensions
-ascending) and records each strictly longer one, so the package must report
-the same order and witness for every cap. Recursion depth grows with the
-path order.
+This is an earlier `copslab.induced.longest_induced_path_order`, kept as the
+oracle for the order in differential tests of the package's pruned vertex
+elimination. It visits every induced path (starts ascending, extensions
+ascending) and records each strictly longer one, so its order is exact for
+every cap. Its witness is the first such path in DFS order, which the package
+does not promise to match: tests check the package's witness with
+`verify_induced_path` instead. Recursion depth grows with the path order.
 """
 
 from __future__ import annotations

@@ -80,22 +80,26 @@ class TestLongestInducedPath:
 
 
 def assert_matches_reference(g, brute=False):
-    """Same answers as the unpruned search, uncapped and at every cap or t up to order + 1.
+    """Same orders as the unpruned search, uncapped and at every cap or t up to order + 1.
 
-    `longest_induced_path_order` gives the same (order, witness), and the
-    elimination search alone the same order; `is_pt_free` gives (free,
-    certificate) with the capped search's witness as certificate. With
-    `brute`, the order is also checked against subset enumeration.
+    `longest_induced_path_order` gives the reference order with a verified
+    witness of exactly that many vertices, and the elimination search alone a
+    verified path of that order; `is_pt_free` gives (free, certificate) with
+    the capped search's witness as certificate. With `brute`, the order is
+    also checked against subset enumeration.
     """
     order, _ = reference_longest_induced_path_order(g)
     if brute:
         assert brute_longest_induced_path(g) == order
     for cap in [None, *range(1, order + 2)]:
-        expected = reference_longest_induced_path_order(g, cap)
-        assert longest_induced_path_order(g, cap) == expected, cap
-        assert _order(g, g.n if cap is None else min(cap, g.n), 1) == expected[0], cap
+        expected, _ = reference_longest_induced_path_order(g, cap)
+        found, witness = longest_induced_path_order(g, cap)
+        assert found == expected, cap
+        assert len(witness) == found and verify_induced_path(g, witness), cap
+        path = _order(g, g.n if cap is None else min(cap, g.n), [0])
+        assert len(path) == expected and verify_induced_path(g, path), cap
     for t in range(1, order + 2):
-        found, witness = reference_longest_induced_path_order(g, t)
+        found, witness = longest_induced_path_order(g, t)
         assert is_pt_free(g, t) == ((True, None) if found < t else (False, witness)), t
 
 
@@ -131,12 +135,18 @@ class TestMatchesReferenceSearch:
         assert_matches_reference(g, brute=True)
 
     def test_hunt_corpus_orders(self):
-        # the first 30 benchmark graphs with their stored order L (tag, graph6)
-        lines = HUNT.read_text().splitlines()[:30]
-        assert len(lines) == 30
+        # the 120 benchmark graphs with their stored order L (tag, graph6): the
+        # order and a verified witness, P_{L+1}-free, and P_L's certificate is
+        # the witness capped at L
+        lines = HUNT.read_text().splitlines()
+        assert len(lines) == 120
         for line in lines:
             tag, text = line.split()
-            assert longest_induced_path_order(parse_graph6(text))[0] == int(tag), text
+            g, L = parse_graph6(text), int(tag)
+            order, witness = longest_induced_path_order(g)
+            assert order == L and verify_induced_path(g, witness), text
+            assert is_pt_free(g, L + 1) == (True, None), text
+            assert is_pt_free(g, L) == (False, longest_induced_path_order(g, cap=L)[1]), text
 
 
 class TestPtFree:
