@@ -95,39 +95,28 @@ class GameTrace:
         return [header, *self.events, {key: v for key, v in out.items() if v is not None}]
 
 
-def play(
-    g: Graph,
-    cop: CopStrategy,
-    robber: RobberStrategy,
-    move_limit: int | None = None,
-) -> GameTrace:
+def play(g: Graph, cop: CopStrategy, robber: RobberStrategy) -> GameTrace:
     """Play one full game and return its trace.
 
     The graph must be connected. Capture is declared immediately whenever a
     cop and the robber share a vertex: after a cop move, after the robber
     places onto a cop, or after the robber steps onto a cop. Without capture
-    the game stops after `move_limit` cop moves (default 4n) with outcome
+    the game stops after 4n cop moves, on an n-vertex graph, with outcome
     ROBBER_SURVIVED. An illegal strategy action yields STRATEGY_FAILURE with
     the offending event in the trace, and a StrategyError raised by either
     side yields STRATEGY_FAILURE with its reason and certificate.
     """
     if g.n == 0 or not g.is_connected():
         raise ValueError("play requires a connected, non-empty graph")
-    if move_limit is None:
-        move_limit = 4 * g.n
-    if move_limit < 1:
-        raise ValueError(f"move_limit must be >= 1, got {move_limit}")
     trace = GameTrace(graph=g, t=getattr(cop, "t", None))
     try:
-        trace.outcome = _referee(g, cop, robber, move_limit, trace.events)
+        trace.outcome = _referee(g, cop, robber, trace.events)
     except StrategyError as exc:
         trace.outcome = Outcome(STRATEGY_FAILURE, reason=exc.reason, certificate=exc.certificate)
     return trace
 
 
-def _referee(
-    g: Graph, cop: CopStrategy, robber: RobberStrategy, move_limit: int, events: list[dict]
-) -> Outcome:
+def _referee(g: Graph, cop: CopStrategy, robber: RobberStrategy, events: list[dict]) -> Outcome:
     """Alternate cop and robber turns, placements first, appending each event."""
 
     def illegal(side: str, detail: str) -> Outcome:
@@ -137,7 +126,7 @@ def _referee(
     cops: tuple[int, ...] = ()
     r: int | None = None
     cop_moves = 0
-    while cop_moves < move_limit:
+    while cop_moves < 4 * g.n:
         if cop_moves == 0:
             new_cops = tuple(cop.place(g))
             if not new_cops or any(not 0 <= c < g.n for c in new_cops):

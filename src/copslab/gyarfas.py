@@ -5,8 +5,8 @@ strategy captures within t-1 cop moves (the placement is move 1). All cops
 start stacked on an anchor v0. Each round either some anchor's cop steps onto
 the robber, or the stack's tip v_i advances to a new anchor toward the
 robber's territory, the component of G - N[v_0..v_i] that holds him, leaving
-one cop on the anchor passed. The anchor path fixes every territory and the
-next anchor toward each, so `cop_turn` decides them once per anchor path.
+one cop on the anchor passed. The paths met form a tree from (v0,); each node,
+an `AnchorPath`, fixes and keeps its territories and the next anchor toward each.
 
 The anchors form an induced path, since each new one lies outside the closed
 neighborhoods of those before the tip. Once t-2 anchors stand and the robber
@@ -51,46 +51,46 @@ def initial_placement(g: Graph, t: int, v0_rule: str = "lowest") -> tuple[int, .
     raise ValueError(f"unknown v0_rule {v0_rule!r}")
 
 
-def cop_turn(g: Graph, t: int, path: tuple[int, ...], robber: int,
-             table: dict) -> tuple[tuple[int, ...], tuple[int, ...], int | None]:
-    """One cops' turn given the robber's vertex: (cop positions, anchor path, territory mask).
+class AnchorPath:
+    """A node of the anchor-path tree: the path, the masks of N[path[:-1]] and N[path],
+    and each territory met, as a mask, with the node its next anchor leads to."""
+
+    __slots__ = ("path", "before", "reach", "territories")
+
+    def __init__(self, g: Graph, path: tuple[int, ...], before: int = 0):
+        self.path, self.before = path, before
+        self.reach = before | g.closed_masks[path[-1]]
+        self.territories: list[tuple[int, AnchorPath]] = []
+
+
+def cop_turn(g: Graph, t: int, node: AnchorPath, robber: int) -> tuple[AnchorPath, int | None]:
+    """One cops' turn given the robber's vertex: (anchor path node, territory mask).
 
     Capture beats advancing: if the robber is in the closed neighborhood of an
-    anchor, the lowest such anchor's cop steps onto him, the path stays and the
-    territory is None. Otherwise the territory is the robber's component of
+    anchor, the node stays and the territory is None (the lowest such anchor's
+    cop steps onto him). Otherwise the territory is the robber's component of
     G - N[path], and the tip advances to its lowest neighbor outside the
     earlier anchors' closed neighborhoods that touches the territory. Raises
     NotPtFreeError when the path is complete yet the robber escaped every
-    anchor's neighborhood (impossible on truly path-free inputs).
-
-    `table` is the caller's dict for one graph and t. Per anchor path it holds
-    the masks of N[path[:-1]] and N[path] and each territory met, with its next
-    path and that path's cop positions, so each territory is flooded once.
+    anchor's neighborhood (impossible on truly path-free inputs). Each territory
+    is flooded once, and territories toward one next anchor share its node.
     """
-    entry = table.get(path)
-    if entry is None:
-        before = 0
-        for anchor in path[:-1]:
-            before |= g.closed_masks[anchor]
-        entry = table[path] = (before, before | g.closed_masks[path[-1]], [])
-    before, reach, territories = entry
-    if reach >> robber & 1:  # opportunistic capture: only ever shortens the game
-        j = next(j for j, a in enumerate(path) if g.closed_masks[a] >> robber & 1)
-        positions = cop_positions(t, path)
-        return positions[:j] + (robber,) + positions[j + 1:], path, None
-    if len(path) == t - 2:
-        raise NotPtFreeError(t, _escape_certificate(g, t, path, robber, before))
-    for territory, nxt, positions in territories:
+    if node.reach >> robber & 1:  # opportunistic capture: only ever shortens the game
+        return node, None
+    if len(node.path) == t - 2:
+        raise NotPtFreeError(t, _escape_certificate(g, t, node.path, robber, node.before))
+    for territory, nxt in node.territories:
         if territory >> robber & 1:
-            return positions, nxt, territory
-    territory, near = _flood(g, robber, reach)
-    ahead = g.nbr_masks[path[-1]] & near & ~before
+            return nxt, territory
+    territory, near = _flood(g, robber, node.reach)
+    ahead = g.nbr_masks[node.path[-1]] & near & ~node.before
     if not ahead:  # the territory is a component of G - N[v_0..v_(i-1)] next to the tip
-        raise AssertionError(f"invariant violation: no next anchor from tip {path[-1]} "
+        raise AssertionError(f"invariant violation: no next anchor from tip {node.path[-1]} "
                              f"toward component {territory:#x}")
-    nxt = path + ((ahead & -ahead).bit_length() - 1,)
-    territories.append((territory, nxt, cop_positions(t, nxt)))
-    return territories[-1][2], nxt, territory
+    tip = (ahead & -ahead).bit_length() - 1
+    nxt = next((n for _, n in node.territories if n.path[-1] == tip), None)
+    node.territories.append((territory, nxt or AnchorPath(g, node.path + (tip,), node.reach)))
+    return node.territories[-1][1], territory
 
 
 def _flood(g: Graph, robber: int, blocked: int) -> tuple[int, int]:
@@ -115,32 +115,31 @@ def _escape_certificate(g: Graph, t: int, path: tuple[int, ...], robber: int, be
 
 
 class GyarfasCop:
-    """Engine-facing adapter owning one game's anchor path, cop_turn table and strategy_state records."""
+    """Engine-facing adapter owning one game's anchor-path node and strategy_state records."""
 
     def __init__(self, t: int, v0_rule: str = "lowest"):
         self.t = t
         self.v0_rule = v0_rule
-        self.path: tuple[int, ...] = ()
-        self.table: dict = {}
+        self.node: AnchorPath | None = None
         self.records: list[dict] = []
 
     def place(self, g: Graph) -> tuple[int, ...]:
-        self.path = initial_placement(g, self.t, self.v0_rule)
-        self.table = {}
+        self.node = AnchorPath(g, initial_placement(g, self.t, self.v0_rule))
         self.records = []
         return self._record("advancing", None)
 
     def move(self, g: Graph, state: GameState) -> tuple[int, ...]:
-        positions, self.path, territory = cop_turn(g, self.t, self.path, state.robber, self.table)
-        if territory is None:  # a capture, recorded with the positions it started from
-            self._record("capturing", self.records[-1]["territory"])
-        else:
-            self._record("advancing", [v for v in range(g.n) if territory >> v & 1])
-        return positions
+        self.node, territory = cop_turn(g, self.t, self.node, state.robber)
+        if territory is not None:
+            return self._record("advancing", [v for v in range(g.n) if territory >> v & 1])
+        # a capture, recorded with the positions it starts from; the lowest anchor whose N[] holds him moves
+        positions = self._record("capturing", self.records[-1]["territory"])
+        j = next(j for j, a in enumerate(self.node.path) if g.closed_masks[a] >> state.robber & 1)
+        return positions[:j] + (state.robber,) + positions[j + 1:]
 
     def _record(self, phase: str, territory: list[int] | None) -> tuple[int, ...]:
-        positions = cop_positions(self.t, self.path)
-        self.records.append({"type": "strategy_state", "phase": phase, "path": list(self.path),
+        positions = cop_positions(self.t, self.node.path)
+        self.records.append({"type": "strategy_state", "phase": phase, "path": list(self.node.path),
                              "territory": territory, "cop_positions": list(positions)})
         return positions
 
@@ -160,20 +159,18 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
     """Max capture time of the strategy against all robber play, by full search.
 
     Explores every robber placement and reply against the (deterministic) cop
-    strategy, memoizing on (anchor path, robber), the whole state of a cops'
-    turn; one cop_turn table serves the search, and the memo keys share its
-    paths. Either every line ends in capture - then max_cop_moves is the exact
-    worst case, at most t-1 on path-free inputs - or some line uncovers an
-    induced t-vertex path, which is returned as a certificate.
+    strategy, memoizing on (anchor path node, robber), the whole state of a cops'
+    turn, hashed by the node's identity. Either every line ends in capture - then
+    max_cop_moves is the exact worst case, at most t-1 on path-free inputs - or
+    some line uncovers an induced t-vertex path, which is returned as a certificate.
     """
-    path0 = initial_placement(g, t, v0_rule)
+    root = AnchorPath(g, initial_placement(g, t, v0_rule))
     memo: dict[tuple, int] = {}
-    table: dict = {}
-    # Depth first over frames [key, cops' anchor path, robber replies left, most cop
+    # Depth first over frames [key, cops' anchor path node, robber replies left, most cop
     # moves so far], kept in a list, not on the call stack, so no game is too long to
     # search. The bottom frame is the placement (cop move 1), replied to by the robber's
     # start. A frame starts at 1, the robber's forced suicide if every reply is occupied.
-    stack = [[None, path0, iter(sorted(set(range(g.n)) - set(path0))), 1]]
+    stack = [[None, root, iter(sorted(set(range(g.n)) - set(root.path))), 1]]
     value = None  # cop moves still needed from the state just searched, cops to move
     try:
         while stack:
@@ -189,11 +186,11 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
             key = (frame[1], r)
             value = memo.get(key)
             if value is None:
-                _, nxt, territory = cop_turn(g, t, frame[1], r, table)
+                nxt, territory = cop_turn(g, t, frame[1], r)
                 if territory is None:  # a capture
                     memo[key] = value = 1
                 else:  # r is outside N[path], so of the cops' anchors only the new tip can be in N[r]
-                    stack.append([key, nxt, iter(sorted(({r} | g.adj[r]) - {nxt[-1]})), 1])
+                    stack.append([key, nxt, iter(sorted(({r} | g.adj[r]) - {nxt.path[-1]})), 1])
     except NotPtFreeError as exc:
         return StrategyAnalysis(t, False, None, exc.certificate, len(memo))
     return StrategyAnalysis(t, True, value, None, len(memo))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copslab.corpus import theorem_corpus
-from copslab.engine import CAPTURED, STRATEGY_FAILURE, play
+from copslab.engine import CAPTURED, STRATEGY_FAILURE, GameState, play
 from copslab.generators import (
     complete_graph,
     connected_ptfree_graph,
@@ -18,6 +18,7 @@ from copslab.generators import (
 )
 from copslab.graphs import Graph, distances_within
 from copslab.gyarfas import (
+    AnchorPath,
     GyarfasCop,
     NotPtFreeError,
     analyze_strategy,
@@ -153,32 +154,32 @@ def reference_analysis(g, t, v0_rule):
 
     It carries its own territory by the incremental rule - all of V at first, then
     the robber's component of the previous territory less N[tip] - and checks that
-    cop_turn's table gives the same territory, and advances to the same anchor, from
+    cop_turn's node gives the same territory, and advances to the same anchor, from
     the path alone, at every (path, robber) the search reaches.
     """
-    path0 = initial_placement(g, t, v0_rule)
+    root = AnchorPath(g, initial_placement(g, t, v0_rule))
     memo = {}
-    table = {}
 
-    def needed(path, territory, r):  # cop moves still needed with the cops to move
+    def needed(node, territory, r):  # cop moves still needed with the cops to move
+        path = node.path
         key = (path, territory, r)
         if key not in memo:
-            moves, nxt, derived = cop_turn(g, t, path, r, table)
-            if r in moves:
-                assert derived is None, (path, r)
+            nxt, derived = cop_turn(g, t, node, r)
+            if any(r == a or r in g.adj[a] for a in path):  # some anchor's cop steps onto r
+                assert derived is None and nxt is node, (path, r)
                 memo[key] = 1
             else:
                 tip = path[-1]
                 own = frozenset(distances_within(g, [r], territory - g.adj[tip] - {tip}))
                 assert derived == sum(1 << v for v in own), (path, r)
-                assert nxt == path + (min(w for w in g.adj[tip] & territory if g.adj[w] & own),)
-                replies = sorted(({r} | g.adj[r]) - set(moves))
+                assert nxt.path == path + (min(w for w in g.adj[tip] & territory if g.adj[w] & own),)
+                replies = sorted(({r} | g.adj[r]) - set(cop_positions(t, nxt.path)))
                 memo[key] = max([1] + [1 + needed(nxt, own, reply) for reply in replies])
         return memo[key]
 
     everything = frozenset(range(g.n))
     try:
-        worst = max([1] + [1 + needed(path0, everything, r) for r in sorted(everything - set(path0))])
+        worst = max([1] + [1 + needed(root, everything, r) for r in sorted(everything - set(root.path))])
     except NotPtFreeError as exc:
         return False, None, exc.certificate, len(memo)
     return True, worst, None, len(memo)
@@ -289,41 +290,59 @@ class TestCopTurnDirect:
         # on the diamond (C_4 0-1-2-3 plus the chord 1-3) vertex 3 sees both anchors 0
         # and 1: the lower-indexed anchor's cop moves
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
-        table = {}
-        path = initial_placement(g, 4)
-        moves, path, territory = cop_turn(g, 4, path, 2, table)  # advance toward the robber
-        assert path == (0, 1) and territory == 1 << 2
-        moves, path2, territory = cop_turn(g, 4, path, 3, table)
-        assert path2 == path and territory is None  # a capture
-        assert moves == (3, 1)
+        node, territory = cop_turn(g, 4, AnchorPath(g, initial_placement(g, 4)), 2)  # advance toward the robber
+        assert node.path == (0, 1) and territory == 1 << 2
+        node2, territory = cop_turn(g, 4, node, 3)
+        assert node2 is node and territory is None  # a capture
+        cop = GyarfasCop(4)
+        cop.place(g)
+        assert cop.move(g, GameState((0, 0), 2)) == (0, 1)
+        assert cop.move(g, GameState((0, 1), 3)) == (3, 1)
 
     def test_not_pt_free_raised_directly(self):
         g = path_graph(6)
-        table = {}
-        path = initial_placement(g, 5)
+        node = AnchorPath(g, initial_placement(g, 5))
         robber = 5
         with pytest.raises(NotPtFreeError) as info:
             for _ in range(5):
-                moves, path, _ = cop_turn(g, 5, path, robber, table)
+                node, _ = cop_turn(g, 5, node, robber)
         assert verify_induced_path(g, list(info.value.certificate))
 
     def test_one_territory_shares_its_next_path(self):
         # on C_6 with v0 = 0, G - N[0] is the one territory {2, 3, 4}
         g = cycle_graph(6)
-        table = {}
-        path = initial_placement(g, 6)
-        first = cop_turn(g, 6, path, 2, table)
-        second = cop_turn(g, 6, path, 4, table)
-        assert first[1] == (0, 1) and first[2] == second[2] == 0b11100
-        assert first[1] is second[1]  # one tuple, which the analysis memo keys share
-        assert len(table[path][2]) == 1
+        root = AnchorPath(g, initial_placement(g, 6))
+        first = cop_turn(g, 6, root, 2)
+        second = cop_turn(g, 6, root, 4)
+        assert first[0].path == (0, 1) and first[1] == second[1] == 0b11100
+        assert first[0] is second[0]  # one node, which the analysis memo keys share
+        assert len(root.territories) == 1
 
     def test_each_territory_gets_its_own_next_anchor(self):
         # the spider with legs 0-1-2, 0-3-4 and 0-5-6: G - N[0] is {2}, {4} and {6}
         g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-        table = {}
-        path = initial_placement(g, 5)
-        nexts = [cop_turn(g, 5, path, r, table)[1:] for r in (6, 2, 4, 2)]
-        assert nexts == [((0, 5), 1 << 6), ((0, 1), 1 << 2), ((0, 3), 1 << 4), ((0, 1), 1 << 2)]
+        root = AnchorPath(g, initial_placement(g, 5))
+        nexts = [cop_turn(g, 5, root, r) for r in (6, 2, 4, 2)]
+        assert [(node.path, territory) for node, territory in nexts] == [
+            ((0, 5), 1 << 6), ((0, 1), 1 << 2), ((0, 3), 1 << 4), ((0, 1), 1 << 2)]
         assert nexts[1][0] is nexts[3][0]
-        assert len(table[path][2]) == 3
+        assert len(root.territories) == 3
+
+    def test_territories_toward_one_anchor_share_its_node(self):
+        # edges 0-1, 1-2 and 1-3: G - N[0] is {2} and {3}, both next to anchor 1
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        root = AnchorPath(g, initial_placement(g, 4))
+        (via2, territory2), (via3, territory3) = cop_turn(g, 4, root, 2), cop_turn(g, 4, root, 3)
+        assert (via2.path, territory2, territory3) == ((0, 1), 1 << 2, 1 << 3)
+        assert via2 is via3
+        assert len(root.territories) == 2
+        assert (via2.before, via2.reach) == (root.reach, 0b1111)
+
+
+class TestPathStates:
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    def test_one_state_per_tip_and_robber_beyond_it(self, n):
+        # on P_n at t = n+1 the anchor path is 0..i and the robber stands on some r > i:
+        # one (node, robber) state per pair of vertices i < r
+        a = analyze_strategy(path_graph(n), n + 1)
+        assert (a.captured_all, a.max_cop_moves, a.states_explored) == (True, n, n * (n - 1) // 2)

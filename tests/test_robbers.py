@@ -67,14 +67,14 @@ class TestOptimal:
         robber = OptimalRobber(table)
         start = robber.place(g, (0,))
         assert table.values.get(((0,), start, True)) is None
-        trace = play(g, ScriptedCop((0,), [(1,), (2,), (3,), (0,)]), robber, move_limit=12)
+        trace = play(g, ScriptedCop((0,), [(1,), (2,), (3,), (0,)]), robber)
         assert trace.outcome.result == ROBBER_SURVIVED
 
     def test_c5_single_cop_survives_move_limit(self):
         g = cycle_graph(5)
         table, result = solve(g, 1)
         assert not result.cop_win
-        trace = play(g, ScriptedCop((0,), [(1,), (2,)]), OptimalRobber(table), move_limit=20)
+        trace = play(g, ScriptedCop((0,), [(1,), (2,)]), OptimalRobber(table))
         assert trace.outcome.result == ROBBER_SURVIVED
 
     def test_cop_count_mismatch_rejected(self):
