@@ -494,6 +494,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             g = generate(spec, seed=args.seed + i)
         except (ValueError, GenerationError) as exc:
             return _error(str(exc))
+        if g.n > 62 and args.count > 1:  # every graph of a kind has the first one's n
+            return _error(f"--count {args.count} needs n <= 62: an edge list holds one graph, got n={g.n}")
         if g.n <= 62:
             print(encode_graph6(g))
         else:

@@ -3,12 +3,15 @@
 All randomness flows through SplitMix64 (see rng.py) so that a (kind, args,
 seed) triple identifies one graph forever. G(n,p) scans vertex pairs (i,j),
 i < j, in lexicographic order and keeps an edge when the next 53-bit float
-is below p.
+is below p. The draws of one graph are decided in one packed pass
+(`SplitMix64.bernoulli_mask`) and become neighbour masks row by row, so the
+sampler tests connectivity on the masks and builds a `Graph` only for
+connected draws.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, masks_connected
 from .induced import is_pt_free
 from .rng import SplitMix64
 
@@ -57,12 +60,23 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
-    return _gnp(n, p, SplitMix64(seed))
+    return Graph.from_masks(_gnp(n, p, SplitMix64(seed)))
 
 
-def _gnp(n: int, p: float, rng: SplitMix64) -> Graph:
-    """G(n, p) from the next n(n-1)/2 draws of `rng`, one per pair in lexicographic order."""
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+def _gnp(n: int, p: float, rng: SplitMix64) -> list[int]:
+    """Neighbour masks of G(n, p) from the next n(n-1)/2 draws of `rng`, one per pair in lexicographic order."""
+    bits = rng.bernoulli_mask(n * (n - 1) // 2, p)
+    masks = [0] * n
+    for i in range(n - 1):
+        width = n - 1 - i  # row i: the pairs (i, i+1) .. (i, n-1)
+        row = bits & ((1 << width) - 1)
+        bits >>= width
+        masks[i] |= row << (i + 1)
+        while row:
+            low = row & -row
+            masks[i + low.bit_length()] |= 1 << i
+            row ^= low
+    return masks
 
 
 def connected_ptfree_graph(n: int, t: int, seed: int) -> Graph:
@@ -86,9 +100,11 @@ def connected_ptfree_graph(n: int, t: int, seed: int) -> Graph:
     p = min(1.5 / n, 0.9)
     stuck = 0
     for _ in range(MAX_ATTEMPTS):
-        g = _gnp(n, p, rng)
-        if g.is_connected() and is_pt_free(g, t)[0]:
-            return g
+        masks = _gnp(n, p, rng)
+        if masks_connected(masks):
+            g = Graph.from_masks(masks)
+            if is_pt_free(g, t)[0]:
+                return g
         if p >= 0.9:
             stuck += 1
             if stuck >= 50:

@@ -5,12 +5,13 @@ and safe to share between workers. Every tie-break in this repo is "lowest
 vertex index first" so that downstream strategies and traces are fully
 deterministic.
 
-This module owns the distance searches (`distances_within`, which the robbers,
-connectivity and `shortest_path_within` use) and the bitmask views: bitset
-code reads N(v) and N[v] from `Graph.nbr_masks` and `Graph.closed_masks`,
-built once per graph. Two searches that need only reachability keep their own
-floods: `induced._Flood`, which stops at a size limit, and the strategy's
-territory flood over masks in `gyarfas`.
+This module owns the distance searches (`distances_within`, which the robbers
+and `shortest_path_within` use), the reachability flood over neighbour masks
+(`flood`, which tests the connectivity of a `Graph` and of the G(n, p)
+sampler's masks, and finds the strategy's territories) and the bitmask views:
+bitset code reads N(v) and N[v] from `Graph.nbr_masks` and
+`Graph.closed_masks`, built once per graph. One search keeps its own flood:
+`induced._Flood`, which stops at a size limit.
 """
 
 from __future__ import annotations
@@ -57,6 +58,19 @@ class Graph:
             nbrs[v].add(u)
         return cls(n, tuple(frozenset(s) for s in nbrs))
 
+    @classmethod
+    def from_masks(cls, masks) -> "Graph":
+        """The graph on len(masks) vertices in which N(v) is the bitmask masks[v].
+
+        The masks must be symmetric, loop-free and within range; they become
+        `nbr_masks` as given. Each neighbourhood is filled in increasing order
+        and then frozen, as `from_edges` fills it from sorted edges, so the two
+        build equal graphs that also iterate alike.
+        """
+        g = cls(len(masks), tuple(frozenset(set(_members(mask))) for mask in masks))
+        vars(g)["nbr_masks"] = tuple(masks)
+        return g
+
     @property
     def m(self) -> int:
         return sum(len(s) for s in self.adj) // 2
@@ -72,7 +86,7 @@ class Graph:
         return len(self.adj[v])
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(distances_within(self, [0])) == self.n
+        return masks_connected(self.nbr_masks)
 
     # Cached outside the dataclass fields, so `==`, `hash` and `repr` ignore them.
     @cached_property
@@ -84,6 +98,33 @@ class Graph:
     def closed_masks(self) -> tuple[int, ...]:
         """N[v] as a bitmask, for every vertex v."""
         return tuple(mask | 1 << v for v, mask in enumerate(self.nbr_masks))
+
+
+def _members(mask: int):
+    """The vertices of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def flood(masks, source: int, blocked: int = 0) -> tuple[int, int]:
+    """Masks of the component of `source` once the vertices in `blocked` are removed, and of its neighbours.
+
+    `masks[v]` is N(v) as a bitmask; `source` must not be blocked.
+    """
+    component, near, todo = 0, 0, 1 << source
+    while todo:
+        low = todo & -todo
+        component |= low
+        near |= masks[low.bit_length() - 1]
+        todo = near & ~(blocked | component)
+    return component, near
+
+
+def masks_connected(masks) -> bool:
+    """Whether the graph whose N(v) is masks[v] is connected (true for 0 or 1 vertices)."""
+    return len(masks) <= 1 or flood(masks, 0)[0] == (1 << len(masks)) - 1
 
 
 def distances_within(g: Graph, sources, region: VertexSet | None = None) -> dict[int, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GameState, StrategyError
-from .graphs import Graph, shortest_path_within
+from .graphs import Graph, flood, shortest_path_within
 from .induced import verify_induced_path
 
 
@@ -82,7 +82,7 @@ def cop_turn(g: Graph, t: int, node: AnchorPath, robber: int) -> tuple[AnchorPat
     for territory, nxt in node.territories:
         if territory >> robber & 1:
             return nxt, territory
-    territory, near = _flood(g, robber, node.reach)
+    territory, near = flood(g.nbr_masks, robber, node.reach)
     ahead = g.nbr_masks[node.path[-1]] & near & ~node.before
     if not ahead:  # the territory is a component of G - N[v_0..v_(i-1)] next to the tip
         raise AssertionError(f"invariant violation: no next anchor from tip {node.path[-1]} "
@@ -91,17 +91,6 @@ def cop_turn(g: Graph, t: int, node: AnchorPath, robber: int) -> tuple[AnchorPat
     nxt = next((n for _, n in node.territories if n.path[-1] == tip), None)
     node.territories.append((territory, nxt or AnchorPath(g, node.path + (tip,), node.reach)))
     return node.territories[-1][1], territory
-
-
-def _flood(g: Graph, robber: int, blocked: int) -> tuple[int, int]:
-    """Masks of the robber's component of G less `blocked`, and of its vertices' neighbors."""
-    component, near, todo = 0, 0, 1 << robber
-    while todo:
-        low = todo & -todo
-        component |= low
-        near |= g.nbr_masks[low.bit_length() - 1]
-        todo = near & ~(blocked | component)
-    return component, near
 
 
 def _escape_certificate(g: Graph, t: int, path: tuple[int, ...], robber: int, before: int) -> tuple[int, ...]:

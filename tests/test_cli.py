@@ -19,7 +19,7 @@ import copslab.cli as cli
 from copslab.cli import main
 from copslab.corpus import theorem_corpus
 from copslab.generators import complete_graph, cycle_graph, gnp_random_graph, path_graph, petersen_graph
-from copslab.graphs import Graph, encode_graph6, format_edge_list
+from copslab.graphs import Graph, encode_graph6, format_edge_list, parse_edge_list
 from copslab.induced import verify_induced_path
 from copslab.verify import conjecture_probe, conjecture_status
 
@@ -549,6 +549,18 @@ class TestGen:
         assert rc == 0 and records[0]["lip_order"] == 70
 
 
+    def test_count_of_large_graphs_rejected_before_output(self, capsys):
+        # an edge-list file holds one graph, so two n = 70 graphs could not be read back
+        rc = main(["gen", "gnp", "70", "0.05", "--seed", "1", "--count", "2"])
+        assert rc == 2
+        assert [json.loads(line) for line in capsys.readouterr().out.splitlines()] == [
+            {"type": "error", "error": "--count 2 needs n <= 62: an edge list holds one graph, got n=70"}
+        ]
+        # one such graph is still written, and reads back
+        assert main(["gen", "gnp", "70", "0.05", "--seed", "1", "--count", "1"]) == 0
+        assert parse_edge_list(capsys.readouterr().out) == gnp_random_graph(70, 0.05, 1)
+
+
 class TestUncaughtErrors:
     def test_uncaught_exception_is_an_error_record(self, capsys, monkeypatch, corpus_file):
         def broken(g, cap=None):
@@ -750,6 +762,27 @@ class TestByteDeterminism:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == rc
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "calls,digest",
+        [
+            # n = 1..70, so both graph6 and edge-list output, at four p
+            ([["gen", "gnp", str(n), p, "--seed", str(n)]
+              for p in ("0.05", "0.3", "0.5", "0.9") for n in range(1, 71)],
+             "6093bdc8cb55a34ade4bbfdadbebcdf5759ee2e233da60bf3cda14973cdcaefd"),
+            ([["gen", "connected_ptfree", str(n), "--t", str(t), "--seed", str(7 * n + t), "--count", "3"]
+              for t in range(4, 8) for n in range(t, t + 9)],
+             "e966382b10c3387166d20cf3a6ad8d8251f859f2545f9ff25a590a7ba17f9e4f"),
+        ],
+        ids=["gnp", "connected_ptfree"],
+    )
+    def test_gen_output_digest(self, capsys, calls, digest):
+        # The seeded generators, pinned byte for byte: each call's exit code, then its stdout.
+        out = hashlib.sha256()
+        for argv in calls:
+            rc = main(argv)
+            out.update(f"{rc}\n{capsys.readouterr().out}".encode())
+        assert out.hexdigest() == digest
 
     def test_verify_theorem_twice_identical(self, tmp_path):
         corpus = tmp_path / "c.g6"

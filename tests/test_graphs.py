@@ -29,6 +29,7 @@ from copslab.graphs import (
     shortest_path_within,
 )
 from copslab.induced import is_pt_free
+from copslab.rng import SplitMix64
 
 from conftest import graphs, uf_components
 from reference_graph6 import reference_encode_graph6, reference_parse_graph6
@@ -148,6 +149,36 @@ class TestComponentsWithin:
     def test_single_component_iff_connected(self, g):
         comps = uf_components(g, frozenset(range(g.n)))
         assert (len(comps) == 1) == (g.n > 0 and g.is_connected())
+
+
+@st.composite
+def _disjoint_unions(draw):
+    """Two graphs side by side: disconnected unless one of them is empty."""
+    a, b = draw(graphs(min_n=0, max_n=6)), draw(graphs(min_n=0, max_n=6))
+    return Graph.from_edges(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+class TestIsConnected:
+    """`Graph.is_connected` floods neighbour masks; the breadth-first search is the oracle."""
+
+    @given(st.one_of(graphs(min_n=0, max_n=10), _disjoint_unions()))
+    def test_matches_breadth_first_search(self, g):
+        assert g.is_connected() == (g.n == 0 or len(distances_within(g, [0])) == g.n)
+
+    def test_small_cases(self):
+        assert Graph.from_edges(0, []).is_connected()
+        assert Graph.from_edges(1, []).is_connected()
+        assert not Graph.from_edges(2, []).is_connected()
+        assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
+        assert cycle_graph(70).is_connected() and not Graph.from_edges(70, path_graph(69).edges()).is_connected()
+
+
+class TestFromMasks:
+    @given(graphs(min_n=0, max_n=24))
+    def test_equals_from_edges_and_iterates_alike(self, g):
+        h = Graph.from_masks(g.nbr_masks)
+        assert h == g and h.nbr_masks == g.nbr_masks
+        assert [list(near) for near in h.adj] == [list(near) for near in g.adj]
 
 
 class TestDistancesWithin:
@@ -424,6 +455,14 @@ class TestGenerators:
     def test_gnp_deterministic(self):
         assert gnp_random_graph(12, 0.4, 99) == gnp_random_graph(12, 0.4, 99)
         assert gnp_random_graph(12, 0.4, 99) != gnp_random_graph(12, 0.4, 100)
+
+    @given(st.integers(1, 70), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+    def test_gnp_matches_one_draw_per_pair(self, n, p, seed):
+        rng = SplitMix64(seed)
+        expected = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        g = gnp_random_graph(n, p, seed)
+        assert g == expected and g.nbr_masks == expected.nbr_masks
+        assert [list(near) for near in g.adj] == [list(near) for near in expected.adj]
 
     def test_gnp_extremes(self):
         assert gnp_random_graph(6, 0.0, 1).m == 0
