@@ -60,7 +60,7 @@ def gnp_random_graph(n: int, p: float, seed: int) -> Graph:
     _check_n(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
-    return Graph.from_masks(_gnp(n, p, SplitMix64(seed)))
+    return Graph(n, tuple(_gnp(n, p, SplitMix64(seed))))
 
 
 def _gnp(n: int, p: float, rng: SplitMix64) -> list[int]:
@@ -102,7 +102,7 @@ def connected_ptfree_graph(n: int, t: int, seed: int) -> Graph:
     for _ in range(MAX_ATTEMPTS):
         masks = _gnp(n, p, rng)
         if masks_connected(masks):
-            g = Graph.from_masks(masks)
+            g = Graph(n, tuple(masks))
             if is_pt_free(g, t)[0]:
                 return g
         if p >= 0.9:

@@ -1,26 +1,23 @@
-"""Simple undirected graphs: adjacency-set representation, region queries, text formats.
+"""Simple undirected graphs as neighbour bitmasks: region queries, text formats.
 
-Vertices are dense integers 0..n-1. Graphs are immutable after construction
-and safe to share between workers. Every tie-break in this repo is "lowest
-vertex index first" so that downstream strategies and traces are fully
-deterministic.
+Vertices are dense integers 0..n-1, and a `Graph` holds one bitmask per
+vertex, N(v), with bit u set iff u is a neighbour of v. Graphs are immutable
+after construction and safe to share between workers. Every tie-break in this
+repo is "lowest vertex index first" so that downstream strategies and traces
+are fully deterministic; `members(mask)` lists a mask's vertices in that order.
 
 This module owns the distance searches (`distances_within`, which the robbers
-and `shortest_path_within` use), the reachability flood over neighbour masks
+and `shortest_path_within` use) and the reachability flood over neighbour masks
 (`flood`, which tests the connectivity of a `Graph` and of the G(n, p)
-sampler's masks, and finds the strategy's territories) and the bitmask views:
-bitset code reads N(v) and N[v] from `Graph.nbr_masks` and
-`Graph.closed_masks`, built once per graph. One search keeps its own flood:
-`induced._Flood`, which stops at a size limit.
+sampler's masks, and finds the strategy's territories). Regions are vertex
+masks too. One search keeps its own flood: `induced._Flood`, which stops at a
+size limit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-
-VertexSet = frozenset[int]
 
 
 class GraphFormatError(ValueError):
@@ -35,72 +32,56 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite simple graph. `adj[v]` is the open neighborhood of v.
+    """Finite simple graph. `nbr_masks[v]` is N(v), the open neighbourhood of v, as a bitmask.
 
-    Invariants (enforced by `from_edges`): no self-loops, symmetric adjacency,
-    all neighbor indices in [0, n).
+    Invariants (enforced by `from_edges`, kept by every builder of
+    `Graph(n, nbr_masks)`): n masks, no self-loops, symmetric adjacency, all
+    neighbour bits in [0, n).
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    nbr_masks: tuple[int, ...]
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in nbrs))
-
-    @classmethod
-    def from_masks(cls, masks) -> "Graph":
-        """The graph on len(masks) vertices in which N(v) is the bitmask masks[v].
-
-        The masks must be symmetric, loop-free and within range; they become
-        `nbr_masks` as given. Each neighbourhood is filled in increasing order
-        and then frozen, as `from_edges` fills it from sorted edges, so the two
-        build equal graphs that also iterate alike.
-        """
-        g = cls(len(masks), tuple(frozenset(set(_members(mask))) for mask in masks))
-        vars(g)["nbr_masks"] = tuple(masks)
-        return g
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls(n, tuple(masks))
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(mask.bit_count() for mask in self.nbr_masks) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, sorted."""
-        return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        # -(2 << u) keeps the bits above u
+        return [(u, v) for u, mask in enumerate(self.nbr_masks) for v in members(mask & -(2 << u))]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.nbr_masks[u] >> v & 1 == 1
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_masks[v].bit_count()
 
     def is_connected(self) -> bool:
         return masks_connected(self.nbr_masks)
 
-    # Cached outside the dataclass fields, so `==`, `hash` and `repr` ignore them.
-    @cached_property
-    def nbr_masks(self) -> tuple[int, ...]:
-        """N(v) as a bitmask, for every vertex v."""
-        return tuple(sum(1 << u for u in near) for near in self.adj)
-
+    # Cached outside the dataclass fields, so `==`, `hash` and `repr` ignore it.
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:
         """N[v] as a bitmask, for every vertex v."""
         return tuple(mask | 1 << v for v, mask in enumerate(self.nbr_masks))
 
 
-def _members(mask: int):
+def members(mask: int):
     """The vertices of a mask, lowest first."""
     while mask:
         low = mask & -mask
@@ -127,37 +108,41 @@ def masks_connected(masks) -> bool:
     return len(masks) <= 1 or flood(masks, 0)[0] == (1 << len(masks)) - 1
 
 
-def distances_within(g: Graph, sources, region: VertexSet | None = None) -> dict[int, int]:
-    """Distance from the nearest source of each vertex it reaches, inside `region` (None: all of g).
+def distances_within(g: Graph, sources, region: int = -1) -> dict[int, int]:
+    """Distance from the nearest source of each vertex it reaches, inside the vertex mask `region` (-1: all of g).
 
-    Vertices are listed in the order the breadth-first search reaches them.
+    The sources come first, in the order given; then each level of the search, highest vertex first.
     """
-    dist = {}
-    for s in sources:
-        if not 0 <= s < g.n or (region is not None and s not in region):
+    nbr = g.nbr_masks
+    dist = dict.fromkeys(sources, 0)
+    reached = near = 0
+    for s in dist:
+        if not 0 <= s < g.n or not region >> s & 1:
             raise ValueError(f"source {s} is not a vertex of the region")
-        dist[s] = 0
-    queue = deque(dist)
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for w in g.adj[u]:
-            if w not in dist and (region is None or w in region):
-                dist[w] = d
-                queue.append(w)
+        reached |= 1 << s
+        near |= nbr[s]
+    unreached, d = region & ~reached, 1
+    while level := near & unreached:
+        unreached ^= level
+        near = 0
+        while level:  # walked inline and highest first: the fewest big-integer operations
+            v = level.bit_length() - 1
+            dist[v] = d
+            near |= nbr[v]
+            level ^= 1 << v
+        d += 1
     return dist
 
 
-def shortest_path_within(
-    g: Graph, region: VertexSet, src: int, dst: int
-) -> list[int] | None:
-    """Minimum-length path from src to dst inside the subgraph induced on `region`.
+def shortest_path_within(g: Graph, region: int, src: int, dst: int) -> list[int] | None:
+    """Minimum-length path from src to dst inside the subgraph induced on the vertex mask `region` (-1: all of g).
 
     Among equal-length paths returns the lexicographically smallest vertex
     sequence. None if dst is unreachable from src within the region.
     """
-    if src not in region or dst not in region:
-        raise ValueError(f"endpoints {src},{dst} must lie in the region")
+    for v in (src, dst):
+        if not 0 <= v < g.n or not region >> v & 1:
+            raise ValueError(f"endpoints {src},{dst} must lie in the region")
     # BFS from dst gives distances; a greedy lowest-index walk from src along
     # strictly decreasing distances is the lexicographically smallest optimum.
     dist = distances_within(g, [dst], region)
@@ -166,7 +151,7 @@ def shortest_path_within(
     path = [src]
     cur = src
     while cur != dst:
-        cur = min(w for w in g.adj[cur] if w in region and dist.get(w, -1) == dist[cur] - 1)
+        cur = next(w for w in members(g.nbr_masks[cur]) if dist.get(w, -1) == dist[cur] - 1)
         path.append(cur)
     return path
 
@@ -238,10 +223,8 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     bits = 0
     for j in range(1, n):
-        col = 0
-        for i in g.adj[j]:
-            if i < j:
-                col |= 1 << (j - 1 - i)
+        # column j is the pairs (0, j) .. (j-1, j), most significant first: N(j) below j, reversed
+        col = int(format(g.nbr_masks[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2)
         bits = (bits << j) | col
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -259,7 +242,7 @@ def encode_graph6(g: Graph) -> str:
 # used for corpora beyond graph6's n <= 62.
 # ---------------------------------------------------------------------------
 
-# Every vertex costs an adjacency set before any edge is read, so the header
+# Every vertex costs a neighbour mask before any edge is read, so the header
 # alone must not be able to ask for more memory than any exact check can use.
 MAX_EDGE_LIST_VERTICES = 100_000
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GameState, StrategyError
-from .graphs import Graph, flood, shortest_path_within
+from .graphs import Graph, flood, members, shortest_path_within
 from .induced import verify_induced_path
 
 
@@ -96,7 +96,7 @@ def cop_turn(g: Graph, t: int, node: AnchorPath, robber: int) -> tuple[AnchorPat
 def _escape_certificate(g: Graph, t: int, path: tuple[int, ...], robber: int, before: int) -> tuple[int, ...]:
     # The earlier anchors, then a shortest tip-robber path outside their N[]: induced, >= t vertices.
     tip = path[-1]
-    tail = shortest_path_within(g, {v for v in range(g.n) if v == tip or not before >> v & 1}, tip, robber)
+    tail = shortest_path_within(g, ~before | 1 << tip, tip, robber)
     assert tail is not None and len(tail) >= 3
     cert = (list(path[:-1]) + tail)[:t]
     assert verify_induced_path(g, cert), f"bad escape certificate {cert}"
@@ -120,7 +120,7 @@ class GyarfasCop:
     def move(self, g: Graph, state: GameState) -> tuple[int, ...]:
         self.node, territory = cop_turn(g, self.t, self.node, state.robber)
         if territory is not None:
-            return self._record("advancing", [v for v in range(g.n) if territory >> v & 1])
+            return self._record("advancing", list(members(territory)))
         # a capture, recorded with the positions it starts from; the lowest anchor whose N[] holds him moves
         positions = self._record("capturing", self.records[-1]["territory"])
         j = next(j for j, a in enumerate(self.node.path) if g.closed_masks[a] >> state.robber & 1)
@@ -179,7 +179,7 @@ def analyze_strategy(g: Graph, t: int, v0_rule: str = "lowest") -> StrategyAnaly
                 if territory is None:  # a capture
                     memo[key] = value = 1
                 else:  # r is outside N[path], so of the cops' anchors only the new tip can be in N[r]
-                    stack.append([key, nxt, iter(sorted(({r} | g.adj[r]) - {nxt.path[-1]})), 1])
+                    stack.append([key, nxt, members(g.closed_masks[r] & ~(1 << nxt.path[-1])), 1])
     except NotPtFreeError as exc:
         return StrategyAnalysis(t, False, None, exc.certificate, len(memo))
     return StrategyAnalysis(t, True, value, None, len(memo))

@@ -132,7 +132,7 @@ def _order(g: Graph, target: int, path: list[int]) -> list[int]:
     # on arm A).
     cands: list[int] = []
     frames: list[tuple[int, int, _Flood | None, int, int]] = []
-    degree = [len(near) for near in g.adj]
+    degree = [mask.bit_count() for mask in nbr]
     for v in sorted(range(n), key=degree.__getitem__, reverse=True):
         if best >= target or best >= alive.bit_count():
             break

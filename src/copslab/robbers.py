@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import inf
 
 from .engine import GameState
-from .graphs import Graph, distances_within
+from .graphs import Graph, distances_within, members
 from .rng import SplitMix64
 from .solver import SolverTable
 
@@ -26,7 +26,7 @@ class GreedyRobber:
 
     def move(self, g: Graph, state: GameState) -> int:
         dist = distances_within(g, state.cops)
-        return max(sorted({state.robber} | g.adj[state.robber]), key=lambda v: dist.get(v, inf))
+        return max(members(g.closed_masks[state.robber]), key=lambda v: dist.get(v, inf))
 
 
 class RandomRobber:
@@ -42,8 +42,7 @@ class RandomRobber:
         return pool[self._rng.below(len(pool))]
 
     def move(self, g: Graph, state: GameState) -> int:
-        r = state.robber
-        options = sorted({r} | g.adj[r])
+        options = list(members(g.closed_masks[state.robber]))
         free = [v for v in options if v not in state.cops]
         pool = free if free else options
         return pool[self._rng.below(len(pool))]
@@ -67,7 +66,7 @@ class OptimalRobber:
         return self._best(cops, range(g.n))
 
     def move(self, g: Graph, state: GameState) -> int:
-        return self._best(state.cops, sorted({state.robber} | g.adj[state.robber]))
+        return self._best(state.cops, members(g.closed_masks[state.robber]))
 
     def _best(self, cops: tuple[int, ...], options) -> int:
         """The first option scored a robber win, else the first with the longest capture time."""

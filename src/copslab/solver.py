@@ -42,7 +42,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from operator import or_
 
-from .graphs import Graph
+from .graphs import Graph, members
 
 DEFAULT_STATE_BUDGET = 50_000_000
 
@@ -130,7 +130,7 @@ def _ranked_joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[l
     the rank of S + v among the size j multisets.
     """
     n = g.n
-    closed = [sorted(g.adj[v] | {v}) for v in range(n)]
+    closed = [list(members(mask)) for mask in g.closed_masks]
     multisets = [(v,) for v in range(n)]
     moves = closed  # size 1: a multiset's rank is its vertex
     for j in range(2, k + 1):

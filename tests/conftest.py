@@ -39,6 +39,11 @@ def sparse_graphs(draw, max_n: int = 16):
     return Graph.from_edges(n, draw(st.permutations(pairs))[:m])
 
 
+def neighbours(g: Graph, v: int) -> frozenset[int]:
+    """N(v), read bit by bit from g's mask: the oracles' own neighbour walk."""
+    return frozenset(u for u in range(g.n) if g.nbr_masks[v] >> u & 1)
+
+
 def uf_components(g: Graph, region) -> list[frozenset[int]]:
     """Union-find oracle for components of the induced subgraph on region."""
     parent = {v: v for v in region}
@@ -50,7 +55,7 @@ def uf_components(g: Graph, region) -> list[frozenset[int]]:
         return x
 
     for u in region:
-        for w in g.adj[u]:
+        for w in neighbours(g, u):
             if w in parent:
                 ru, rw = find(u), find(w)
                 if ru != rw:
@@ -69,7 +74,7 @@ def subset_induces_path(g: Graph, subset) -> bool:
     if k == 1:
         return True
     sub = set(subset)
-    degs = [sum(1 for u in g.adj[v] if u in sub) for v in subset]
+    degs = [sum(1 for u in neighbours(g, v) if u in sub) for v in subset]
     if sum(degs) // 2 != k - 1 or max(degs) > 2:
         return False
     return len(uf_components(g, sub)) == 1

@@ -23,10 +23,7 @@ def reference_longest_induced_path_order(
         return 0, []
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    nbr = [0] * n
-    for v in range(n):
-        for u in g.adj[v]:
-            nbr[v] |= 1 << u
+    nbr = g.nbr_masks
     best_order = 1
     best_path = [0]
     if cap == 1:

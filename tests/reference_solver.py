@@ -16,6 +16,8 @@ from copslab.engine import GameState
 from copslab.graphs import Graph
 from copslab.solver import SolveResult, SolverTable
 
+from conftest import neighbours
+
 
 def joint_cop_moves(g: Graph, cops: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All sorted cop multisets reachable in one joint move (each cop stays or steps).
@@ -26,7 +28,7 @@ def joint_cop_moves(g: Graph, cops: tuple[int, ...]) -> list[tuple[int, ...]]:
     groups = Counter(cops)
     per_group = []
     for v, c in sorted(groups.items()):
-        opts = sorted(g.adj[v] | {v})
+        opts = sorted(neighbours(g, v) | {v})
         per_group.append(list(combinations_with_replacement(opts, c)))
     out = set()
     for parts in product(*per_group):
@@ -68,7 +70,7 @@ def reference_solve(
         m = values[state]
         if cops_to_move:
             # Predecessors: robber-to-move states that could step into this one.
-            for r_prev in (r, *g.adj[r]):
+            for r_prev in (r, *neighbours(g, r)):
                 key = (T, r_prev)
                 cnt = pending.get(key)
                 if cnt is None:

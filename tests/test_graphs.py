@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copslab.generators import (
@@ -31,7 +32,7 @@ from copslab.graphs import (
 from copslab.induced import is_pt_free
 from copslab.rng import SplitMix64
 
-from conftest import graphs, uf_components
+from conftest import graphs, neighbours, uf_components
 from reference_graph6 import reference_encode_graph6, reference_parse_graph6
 
 
@@ -42,11 +43,15 @@ def _bfs_distances(g: Graph, src: int) -> dict[int, int]:
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for w in g.adj[u]:
+        for w in neighbours(g, u):
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
 def _induced(g: Graph, region: frozenset[int]) -> Graph:
@@ -69,12 +74,30 @@ def _all_shortest_paths(g: Graph, src: int, dst: int) -> list[list[int]]:
         if tip == dst:
             out.append(list(prefix))
             return
-        for w in g.adj[tip]:
+        for w in neighbours(g, tip):
             if dist.get(w) == dist[tip] + 1 and dist[w] <= dist[dst]:
                 walk(prefix + [w])
 
     walk([src])
     return [p for p in out if len(p) - 1 == dist[dst]]
+
+
+@st.composite
+def _edge_sets(draw, max_n: int = 130):
+    """(n, edges) with n in [0, max_n], about half of them beyond one 64-bit word, and up to 3n edges (u, v), u < v."""
+    n = draw(st.integers(0, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ends = [sorted(rng.sample(range(n), 2)) for _ in range(draw(st.integers(0, 3 * n)) if n >= 2 else 0)]
+    return n, {(u, v) for u, v in ends}
+
+
+def _reached(near: dict[int, set[int]], source: int) -> set[int]:
+    seen, todo = {source}, [source]
+    while todo:
+        for u in near[todo.pop()] - seen:
+            seen.add(u)
+            todo.append(u)
+    return seen
 
 
 class TestGraphBasics:
@@ -94,9 +117,9 @@ class TestGraphBasics:
     @given(graphs(max_n=8))
     def test_adjacency_symmetric_no_loops(self, g):
         for v in range(g.n):
-            assert v not in g.adj[v]
-            for u in g.adj[v]:
-                assert v in g.adj[u]
+            assert v not in neighbours(g, v)
+            for u in neighbours(g, v):
+                assert v in neighbours(g, u)
 
 
 def _bits(mask: int) -> set[int]:
@@ -121,7 +144,7 @@ class TestComponentsWithin:
 
     @staticmethod
     def component(g: Graph, region: frozenset[int], v: int) -> frozenset[int]:
-        return frozenset(distances_within(g, [v], region))
+        return frozenset(distances_within(g, [v], _mask(region)))
 
     def test_connected_arc(self):
         region = frozenset({1, 2, 3, 4})
@@ -136,7 +159,7 @@ class TestComponentsWithin:
         assert [self.component(g, region, v) for v in (1, 3)] == [{0, 1}, {3, 4}]
 
     def test_empty_region(self):
-        assert distances_within(path_graph(3), [], frozenset()) == {}
+        assert distances_within(path_graph(3), [], 0) == {}
 
     @given(graphs(max_n=9), st.data())
     def test_matches_union_find(self, g, data):
@@ -173,30 +196,24 @@ class TestIsConnected:
         assert cycle_graph(70).is_connected() and not Graph.from_edges(70, path_graph(69).edges()).is_connected()
 
 
-class TestFromMasks:
-    @given(graphs(min_n=0, max_n=24))
-    def test_equals_from_edges_and_iterates_alike(self, g):
-        h = Graph.from_masks(g.nbr_masks)
-        assert h == g and h.nbr_masks == g.nbr_masks
-        assert [list(near) for near in h.adj] == [list(near) for near in g.adj]
-
-
 class TestDistancesWithin:
     def test_nearest_of_two_sources(self):
         assert distances_within(path_graph(5), [0, 4]) == {0: 0, 4: 0, 1: 1, 3: 1, 2: 2}
 
     def test_region_cuts_the_cycle(self):
-        assert distances_within(cycle_graph(6), [0], frozenset({0, 1, 2, 4})) == {0: 0, 1: 1, 2: 2}
+        assert distances_within(cycle_graph(6), [0], _mask({0, 1, 2, 4})) == {0: 0, 1: 1, 2: 2}
 
     def test_no_sources(self):
         assert distances_within(path_graph(3), []) == {}
 
     @pytest.mark.parametrize("source,region", [(3, None), (-1, None), (2, frozenset({0, 1}))])
     def test_source_outside_region(self, source, region):
+        region_arg = () if region is None else (_mask(region),)  # None: the default region, all of g
         with pytest.raises(ValueError, match="source"):
-            distances_within(path_graph(3), [source], region)
+            distances_within(path_graph(3), [source], *region_arg)
 
-    @given(graphs(min_n=1, max_n=9), st.data())
+    @given(st.one_of(graphs(min_n=1, max_n=9), _edge_sets().map(lambda case: Graph.from_edges(*case))), st.data())
+    @settings(deadline=None)
     def test_nearest_source_within_random_region(self, g, data):
         region = _draw_region(g, data)
         if not region:
@@ -207,24 +224,44 @@ class TestDistancesWithin:
         expected = {
             v: min(d[v] for d in singles if v in d) for v in range(g.n) if any(v in d for d in singles)
         }
-        assert distances_within(g, sources, region) == expected
+        assert distances_within(g, sources, _mask(region)) == expected
         if region == frozenset(range(g.n)):
             assert distances_within(g, sources) == expected
 
 
 class TestMaskViews:
-    @given(graphs(max_n=12))
-    def test_masks_match_adjacency(self, g):
-        assert len(g.nbr_masks) == len(g.closed_masks) == g.n
-        for v in range(g.n):
-            assert {u for u in range(g.n) if g.nbr_masks[v] >> u & 1} == g.adj[v]
-            assert {u for u in range(g.n) if g.closed_masks[v] >> u & 1} == g.adj[v] | {v}
+    """Every view of the masks against the edge set they were built from."""
+
+    @given(_edge_sets())
+    @example((0, set()))
+    @settings(deadline=None)
+    def test_masks_match_adjacency(self, case):
+        n, edges = case
+        g = Graph.from_edges(n, sorted(edges, reverse=True))
+        near = {v: set() for v in range(n)}
+        for u, v in edges:
+            near[u].add(v)
+            near[v].add(u)
+        assert g.n == len(g.nbr_masks) == len(g.closed_masks) == n
+        assert g.m == len(edges)
+        assert g.edges() == sorted(edges)
+        for v in range(n):
+            assert g.degree(v) == len(near[v])
+            assert g.nbr_masks[v] == _mask(near[v])
+            assert g.closed_masks[v] == _mask(near[v] | {v})
+            assert [u for u in range(n) if g.has_edge(v, u)] == sorted(near[v])
+        assert g.is_connected() == (n == 0 or len(_reached(near, 0)) == n)
+        twin = Graph.from_edges(n, [(v, u) for u, v in edges])
+        assert g == twin and hash(g) == hash(twin)
+        assert g != Graph.from_edges(n + 1, edges)
+        if edges:
+            assert g != Graph.from_edges(n, sorted(edges)[1:])
 
     @given(graphs(max_n=12))
     def test_reading_masks_leaves_equality_and_hash(self, g):
         twin = Graph.from_edges(g.n, g.edges())
         before = (hash(g), repr(g))
-        assert g.nbr_masks is g.nbr_masks and g.closed_masks is g.closed_masks  # built once
+        assert g.closed_masks is g.closed_masks  # built once
         assert (hash(g), repr(g)) == before
         assert g == twin and hash(g) == hash(twin)
         assert {g, twin} == {twin}
@@ -233,28 +270,30 @@ class TestMaskViews:
 class TestShortestPathWithin:
     def test_unique_shortest_on_cycle(self):
         g = cycle_graph(5)
-        assert shortest_path_within(g, frozenset(range(5)), 0, 2) == [0, 1, 2]
+        assert shortest_path_within(g, -1, 0, 2) == [0, 1, 2]
 
     def test_zero_length(self):
         g = cycle_graph(5)
-        assert shortest_path_within(g, frozenset(range(5)), 3, 3) == [3]
+        assert shortest_path_within(g, -1, 3, 3) == [3]
 
     def test_region_removes_chord(self):
         g = cycle_graph(6)
-        assert shortest_path_within(g, frozenset({0, 1, 2, 3}), 0, 3) == [0, 1, 2, 3]
+        assert shortest_path_within(g, _mask({0, 1, 2, 3}), 0, 3) == [0, 1, 2, 3]
 
     def test_disconnected_region(self):
         g = path_graph(5)
-        assert shortest_path_within(g, frozenset({0, 4}), 0, 4) is None
+        assert shortest_path_within(g, _mask({0, 4}), 0, 4) is None
 
     def test_endpoint_outside_region(self):
         with pytest.raises(ValueError):
-            shortest_path_within(path_graph(3), frozenset({0, 1}), 0, 2)
+            shortest_path_within(path_graph(3), _mask({0, 1}), 0, 2)
+        with pytest.raises(ValueError):
+            shortest_path_within(path_graph(3), -1, 0, 3)
 
     def test_lexicographically_smallest(self):
         # two shortest routes 0-1-3 and 0-2-3: must take the one through 1
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert shortest_path_within(g, frozenset(range(4)), 0, 3) == [0, 1, 3]
+        assert shortest_path_within(g, -1, 0, 3) == [0, 1, 3]
 
     @given(graphs(min_n=2, max_n=9), st.data())
     def test_path_is_valid_and_minimal(self, g, data):
@@ -265,7 +304,7 @@ class TestShortestPathWithin:
         for src in sorted(region):
             dist = _bfs_distances(sub, src)
             for dst in sorted(region):
-                path = shortest_path_within(g, region, src, dst)
+                path = shortest_path_within(g, _mask(region), src, dst)
                 if by_vertex[src] is not by_vertex[dst]:
                     assert path is None
                     continue
@@ -278,10 +317,9 @@ class TestShortestPathWithin:
     @given(graphs(min_n=2, max_n=7))
     @settings(max_examples=40, deadline=None)
     def test_lexicographic_minimum_among_shortest(self, g):
-        region = frozenset(range(g.n))
         for src in range(g.n):
             for dst in range(g.n):
-                path = shortest_path_within(g, region, src, dst)
+                path = shortest_path_within(g, -1, src, dst)
                 brute = _all_shortest_paths(g, src, dst)
                 assert path == (min(brute) if brute else None)
 
@@ -383,8 +421,6 @@ class TestMatchesReferenceCodec:
         assert s == reference_encode_graph6(g)
         ours, theirs = parse_graph6(s), reference_parse_graph6(s)
         assert ours == theirs == g
-        # the same neighbour sets, built alike: every iteration order matches
-        assert [list(a) for a in ours.adj] == [list(a) for a in theirs.adj]
 
     @given(
         st.sampled_from(["", ">>graph6<<", " "]),
@@ -428,7 +464,7 @@ class TestEdgeList:
 
     @pytest.mark.parametrize("n", [-1, MAX_EDGE_LIST_VERTICES + 1])
     def test_vertex_count_out_of_range(self, n):
-        # rejected from the header, before any adjacency set is built
+        # rejected from the header, before any neighbour mask is built
         with pytest.raises(GraphFormatError, match="vertex count"):
             parse_edge_list(f"{n} 0\n")
 
@@ -462,7 +498,6 @@ class TestGenerators:
         expected = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
         g = gnp_random_graph(n, p, seed)
         assert g == expected and g.nbr_masks == expected.nbr_masks
-        assert [list(near) for near in g.adj] == [list(near) for near in expected.adj]
 
     def test_gnp_extremes(self):
         assert gnp_random_graph(6, 0.0, 1).m == 0

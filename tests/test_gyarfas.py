@@ -29,7 +29,7 @@ from copslab.gyarfas import (
 from copslab.induced import longest_induced_path_order, verify_induced_path
 from copslab.robbers import GreedyRobber, RandomRobber
 
-from conftest import ScriptedRobber, sparse_graphs
+from conftest import ScriptedRobber, neighbours, sparse_graphs
 
 
 class TestInitialPlacement:
@@ -165,15 +165,15 @@ def reference_analysis(g, t, v0_rule):
         key = (path, territory, r)
         if key not in memo:
             nxt, derived = cop_turn(g, t, node, r)
-            if any(r == a or r in g.adj[a] for a in path):  # some anchor's cop steps onto r
+            if any(r == a or r in neighbours(g, a) for a in path):  # some anchor's cop steps onto r
                 assert derived is None and nxt is node, (path, r)
                 memo[key] = 1
             else:
                 tip = path[-1]
-                own = frozenset(distances_within(g, [r], territory - g.adj[tip] - {tip}))
+                own = frozenset(distances_within(g, [r], sum(1 << v for v in territory - neighbours(g, tip) - {tip})))
                 assert derived == sum(1 << v for v in own), (path, r)
-                assert nxt.path == path + (min(w for w in g.adj[tip] & territory if g.adj[w] & own),)
-                replies = sorted(({r} | g.adj[r]) - set(cop_positions(t, nxt.path)))
+                assert nxt.path == path + (min(w for w in neighbours(g, tip) & territory if neighbours(g, w) & own),)
+                replies = sorted(({r} | neighbours(g, r)) - set(cop_positions(t, nxt.path)))
                 memo[key] = max([1] + [1 + needed(nxt, own, reply) for reply in replies])
         return memo[key]
 
@@ -206,6 +206,8 @@ class TestMemoKeyOracle:
             captured, worst, cert, states = reference_analysis(g, t, v0_rule)
             assert (a.captured_all, a.max_cop_moves, a.certificate) == (captured, worst, cert), (name, t)
             assert a.states_explored <= states, (name, t)
+            # territories at one depth are disjoint, so each depth has at most n nodes
+            assert a.states_explored <= (t - 2) * g.n ** 2, (name, t)
 
     @given(sparse_graphs(max_n=12).filter(Graph.is_connected))
     @settings(max_examples=40, deadline=None)
@@ -216,6 +218,7 @@ class TestMemoKeyOracle:
                 a = analyze_strategy(g, t, v0_rule)
                 captured, worst, cert, _ = reference_analysis(g, t, v0_rule)
                 assert (a.captured_all, a.max_cop_moves, a.certificate) == (captured, worst, cert), t
+                assert a.states_explored <= (t - 2) * g.n ** 2, t
 
 
 class TestNotPtFree:
@@ -268,10 +271,10 @@ class TestStateInvariants:
                 territory = frozenset(rec["territory"])
                 tip = path[-1]
                 assert tip not in territory
-                assert g.adj[tip] & territory
+                assert neighbours(g, tip) & territory
                 if prev is not None and prev["territory"] is not None and rec["phase"] == "advancing":
                     prev_tip = prev["path"][-1]
-                    assert territory <= frozenset(prev["territory"]) - (g.adj[prev_tip] | {prev_tip})
+                    assert territory <= frozenset(prev["territory"]) - (neighbours(g, prev_tip) | {prev_tip})
             prev = rec
 
     def test_anchor_cop_accounting_on_c5(self):

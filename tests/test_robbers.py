@@ -7,7 +7,7 @@ from copslab.generators import complete_graph, cycle_graph, path_graph, petersen
 from copslab.robbers import GreedyRobber, OptimalRobber, RandomRobber
 from copslab.solver import solve
 
-from conftest import ScriptedCop
+from conftest import ScriptedCop, neighbours
 from reference_solver import OptimalCop
 
 
@@ -51,7 +51,7 @@ class TestRandom:
         state = GameState((3,), 4)
         for seed in range(30):
             v = RandomRobber(seed).move(g, state)
-            assert v in {4} | g.adj[4]
+            assert v in {4} | neighbours(g, 4)
             assert v != 3
 
     def test_forced_onto_cop_at_placement(self):

@@ -30,7 +30,7 @@ from copslab.solver import (
 )
 from copslab.verify import conjecture_probe, verify_theorem_bound
 
-from conftest import cli_env, graphs
+from conftest import cli_env, graphs, neighbours
 from reference_solver import joint_cop_moves, reference_solve
 
 
@@ -122,7 +122,7 @@ class TestMonotonicityAndAudit:
                     else 1 + min(s for s in succ_cops if s is not None)
                 )
                 assert values.get((T, r, True)) == expect
-                succ_rob = [values.get((T, v, True)) for v in ({r} | g.adj[r])]
+                succ_rob = [values.get((T, v, True)) for v in ({r} | neighbours(g, r))]
                 expect = None if any(s is None for s in succ_rob) else 1 + max(succ_rob)
                 assert values.get((T, r, False)) == expect
 
@@ -136,7 +136,7 @@ def dismantlable(g) -> bool:
     u is dominated when N[u] lies inside N[v] for another live vertex v; each
     removal costs O(n^2) subset tests on bitmasks, so the whole check is O(n^3).
     """
-    closed = [sum(1 << u for u in g.adj[v]) | (1 << v) for v in range(g.n)]
+    closed = [sum(1 << u for u in neighbours(g, v)) | (1 << v) for v in range(g.n)]
     alive = (1 << g.n) - 1
     for _ in range(g.n - 1):
         live = [v for v in range(g.n) if alive >> v & 1]
