@@ -49,8 +49,8 @@ from .verify import conjecture_probe, over_work_budget, verify_theorem_bound
 OK, NEGATIVE, ERROR = 0, 1, 2
 
 
-def _line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# One encoder for every record: `json.dumps` with these options builds a new one per call.
+_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _emit(record: dict) -> None:

@@ -71,10 +71,25 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.nbr_masks[v].bit_count()
 
+    def induced(self, region: int) -> "Graph":
+        """The subgraph induced on the vertex mask `region`, its vertices relabelled 0, 1, ... in label order."""
+        if region == (1 << self.n) - 1:
+            return self
+        kept = list(members(region))
+        label = {v: i for i, v in enumerate(kept)}
+        return Graph(len(kept), tuple(
+            sum(1 << label[u] for u in members(self.nbr_masks[v] & region)) for v in kept
+        ))
+
     def is_connected(self) -> bool:
+        return self._connected
+
+    # Cached outside the dataclass fields, so `==`, `hash` and `repr` ignore them.
+    @cached_property
+    def _connected(self) -> bool:
+        """One flood per graph, however many callers ask."""
         return masks_connected(self.nbr_masks)
 
-    # Cached outside the dataclass fields, so `==`, `hash` and `repr` ignore it.
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:
         """N[v] as a bitmask, for every vertex v."""
@@ -166,6 +181,8 @@ def shortest_path_within(g: Graph, region: int, src: int, dst: int) -> list[int]
 # ---------------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# The 6-bit values with their bits in reverse order; the map is its own inverse.
+_REVERSED6 = bytes(int(f"{b:06b}"[::-1], 2) for b in range(64))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -197,23 +214,22 @@ def parse_graph6(text: str) -> Graph:
     padding = 6 * nbytes - nbits
     if padding and (data[nbytes] - 63) & ((1 << padding) - 1):
         raise GraphFormatError("nonzero padding bits in the last graph6 byte", offset=nbytes)
+    # Pair p of the order above is bit 5 - p % 6 of byte p // 6, so each byte
+    # read through `_REVERSED6` puts pair p at bit p of `bits`: bit
+    # j(j-1)/2 + i is the pair (i, j).
     bits = 0
-    for b in data[1:]:
-        bits = (bits << 6) | (b - 63)
-    bits >>= padding
-    # Column j holds the pairs (0,j)..(j-1,j), most significant first, so
-    # bit j-1-i of it is the pair (i, j). Taking the highest bit first lists
-    # the edges in graph6 pair order.
-    edges = []
-    shift = nbits
+    for b in data[:0:-1]:  # last byte first, so that the first ends lowest
+        bits = bits << 6 | _REVERSED6[b - 63]
+    masks = [0] * n
     for j in range(1, n):
-        shift -= j
-        col = (bits >> shift) & ((1 << j) - 1)
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        masks[j] |= col
         while col:
-            top = col.bit_length()
-            col ^= 1 << (top - 1)
-            edges.append((j - top, j))
-    return Graph.from_edges(n, edges)
+            low = col & -col
+            masks[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return Graph(n, tuple(masks))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -221,18 +237,18 @@ def encode_graph6(g: Graph) -> str:
     if g.n > 62:
         raise ValueError(f"graph6 short form requires n <= 62, got n={g.n}")
     n = g.n
+    nbr = g.nbr_masks
+    # Column j is N(j) below j: bit j(j-1)/2 + i of `bits` is the pair (i, j).
     bits = 0
+    shift = 0
     for j in range(1, n):
-        # column j is the pairs (0, j) .. (j-1, j), most significant first: N(j) below j, reversed
-        col = int(format(g.nbr_masks[j] & ((1 << j) - 1), f"0{j}b")[::-1], 2)
-        bits = (bits << j) | col
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    bits <<= 6 * nbytes - nbits
+        bits |= (nbr[j] & ((1 << j) - 1)) << shift
+        shift += j
+    nbytes = (shift + 5) // 6
     out = bytearray(nbytes + 1)
     out[0] = n + 63
-    for k in range(nbytes, 0, -1):
-        out[k] = (bits & 63) + 63
+    for q in range(1, nbytes + 1):
+        out[q] = _REVERSED6[bits & 63] + 63
         bits >>= 6
     return out.decode("ascii")
 

@@ -8,8 +8,9 @@ sees a sparser graph than the last, which is what makes showing that no longer
 path exists cheap. The elimination keeps the path behind its best order, and
 that path is the witness. Its first lower bound is the lowest descent from
 vertex 0, grown at vertex 0 as well, which stands as the witness until a
-longer path is found. `is_pt_free(g, t)` is the same search capped at t: its
-certificate is the capped witness.
+longer path is found. `is_pt_free(g, t)` is the same search capped at t and
+run as a decision: its bar starts at t-1, so it searches only for a t-vertex
+path, and its certificate is the path the capped search would return.
 
 The search runs over bitsets with an explicit stack, so no path order runs
 into the recursion limit. Its bounds, cheapest first: the free vertices
@@ -64,16 +65,22 @@ def longest_induced_path_order(
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     target = g.n if cap is None else min(cap, g.n)
-    nbr = g.nbr_masks
-    # The lowest descent from vertex 0, grown at vertex 0 as well, is the first
-    # known path: arm B reversed, vertex 0, arm A, as the elimination keeps them.
+    path = _order(g, target, _first_path(g.nbr_masks, target))
+    return len(path), path
+
+
+def _first_path(nbr: tuple[int, ...], target: int) -> list[int]:
+    """The elimination's first known path: the lowest descent from vertex 0, grown at vertex 0 as well.
+
+    It is arm B reversed, vertex 0, arm A, as the elimination keeps its paths,
+    with at most `target` vertices.
+    """
     descent = _descend(nbr, [0], 1, target)
     closed = 1
     for v in descent[1:]:
         closed |= 1 << v | nbr[v]
     grown = _descend(nbr, [0], closed, target - len(descent) + 1)
-    path = _order(g, target, grown[::-1] + descent[1:])
-    return len(path), path
+    return grown[::-1] + descent[1:]
 
 
 def _descend(nbr: tuple[int, ...], path: list[int], closed: int, most: int) -> list[int]:
@@ -94,16 +101,23 @@ def _descend(nbr: tuple[int, ...], path: list[int], closed: int, most: int) -> l
     return path
 
 
-def _order(g: Graph, target: int, path: list[int]) -> list[int]:
+def _order(g: Graph, target: int, path: list[int], floor: int = 0) -> list[int]:
     """A longest induced path of a nonempty g, capped at `target` vertices, by vertex elimination.
 
-    `path` is an induced path already known, of `best` <= `target` vertices.
-    Vertices are taken by degree, highest first (ties by label). Each gets one
-    search for the longest induced path through it among the vertices still
-    alive, and is then deleted; the elimination stops once `best` reaches
-    `target` or the number of live vertices. Each longer path the search finds
-    (arm B reversed, v, arm A) replaces `path`; `best` rises one vertex at a
-    time, so `path` is copied at most `target` times.
+    `path` is an induced path already known, of at most `target` vertices.
+    `best`, the bar a path must beat, starts at the larger of its order and
+    `floor`. Vertices are taken by degree, highest first (ties by label). Each
+    gets one search for the longest induced path through it among the
+    vertices still alive, and is then deleted; the elimination stops once
+    `best` reaches `target` or the number of live vertices. Each longer path
+    the search finds (arm B reversed, v, arm A) replaces `path`; `best` rises
+    one vertex at a time, so `path` is copied at most `target` times.
+
+    With floor = target - 1 the search is a decision: it prunes every subtree
+    that cannot reach `target` vertices, and returns `path` itself when no
+    target-vertex path exists, and otherwise the one the search with floor 0
+    returns (the DFS order does not depend on the bar, and no pruned subtree
+    holds such a path).
 
     The path through v is two arms from v. The DFS grows arm A from v; once a
     node's A-extensions are all tried, it opens again as the root of arm B,
@@ -120,7 +134,7 @@ def _order(g: Graph, target: int, path: list[int]) -> list[int]:
     nbr = g.nbr_masks
     full = (1 << n) - 1
     alive = full
-    best = len(path)
+    best = max(len(path), floor)
     # The current path, as v, arm A and then arm B from v, in its first `size` slots.
     trail = [0] * target
     # One frame per node with extensions: those not yet tried in `cands`; in
@@ -309,12 +323,15 @@ class _Flood:
 def is_pt_free(g: Graph, t: int) -> tuple[bool, list[int] | None]:
     """Whether g has no induced path on t vertices.
 
-    It is `longest_induced_path_order(g, cap=t)` read as a verdict: g is free
-    iff the capped order is below t. When it is not, the capped witness
-    (exactly t vertices, so it passes `verify_induced_path`) is returned as a
-    certificate.
+    It decides what `longest_induced_path_order(g, cap=t)` would read as a
+    verdict, by the same vertex elimination with its bar raised to t-1 (see
+    `_order`), so no subtree is searched that cannot hold t vertices. When g is
+    not free, the certificate is the capped search's witness: exactly t
+    vertices, so it passes `verify_induced_path`.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    order, path = longest_induced_path_order(g, cap=t)
-    return (True, None) if order < t else (False, path)
+    if t > g.n:
+        return True, None
+    path = _order(g, t, _first_path(g.nbr_masks, t), floor=t - 1)
+    return (True, None) if len(path) < t else (False, path)

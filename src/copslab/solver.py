@@ -29,8 +29,10 @@ anything past k = 4 or so.
 
 `cop_number` only needs to know whether k cops win, so it solves a k only
 when no theorem decides it: k = 1 is decided by dismantlability, and a k >= 2
-is a win when k vertices dominate the graph. Each k must still fit the state
-budget, as if it were solved.
+is a win when k vertices dominate the graph. The peeling that decides k = 1
+leaves the core, and a retract keeps the cop number, so any k still open is
+solved on the core, not on the graph. Each k must still fit the state budget
+of the whole graph, as if it were solved.
 """
 
 from __future__ import annotations
@@ -236,7 +238,19 @@ def is_dismantlable(g: Graph) -> bool:
     A corner u has N[u] inside N[v] for some other vertex v; removing it
     leaves a retract of the graph, which is one-cop-win iff the graph is, so
     corners are peeled off in any order until one vertex is left or none is
-    a corner. Since u is in N[u], its dominator v is one of its neighbours.
+    a corner (see `core`).
+    """
+    return core(g).bit_count() <= 1
+
+
+def core(g: Graph) -> int:
+    """The vertex mask left once corners are peeled off g until one vertex is left or none is a corner.
+
+    Corners are peeled in passes, lowest label first. Since u is in N[u], the
+    dominator v of a corner u is one of its neighbours. Each step is a retract,
+    so for every k >= 1, k cops win on g iff they win on the subgraph induced
+    on the core (Berarducci-Intrigila): a cop team on the retract catches the
+    image of the robber, and then the robber itself one move later.
     """
     closed = g.closed_masks
     alive, left = (1 << g.n) - 1, g.n
@@ -256,7 +270,7 @@ def is_dismantlable(g: Graph) -> bool:
                     peeled = True
                     break
                 others ^= low
-    return left <= 1
+    return alive
 
 
 def has_dominating_set(g: Graph, k: int) -> bool:
@@ -279,9 +293,11 @@ def cop_number(
     """Smallest k <= k_max with a cop win, or None meaning "> k_max".
 
     k = 1 is settled by `is_dismantlable`, and a k >= 2 is a win without a
-    solve when `has_dominating_set` finds k dominating vertices; every other
-    k is solved. Every k is held to the state budget all the same, so a
-    budget stop raises SolverBudgetError at the same k as a solve would.
+    solve when `has_dominating_set` finds k dominating vertices on g; every
+    other k is solved on the subgraph induced on g's `core`, which k cops win
+    iff they win g. Every k is held to the state budget of g, as if g itself
+    were solved, so a budget stop raises SolverBudgetError at the same k
+    whatever the core.
 
     When `settled` is given, each k decided is mapped, in order, to how:
     "dismantlability", "domination" or "solve".
@@ -290,16 +306,20 @@ def cop_number(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if g.n == 0 or not g.is_connected():
         raise ValueError("solver requires a connected, non-empty graph")
+    reduced = None  # the subgraph induced on the core, built for the first solve
     for k in range(1, k_max + 1):
         required = state_space_size(g.n, k)
         if required > state_budget:
             raise SolverBudgetError(required, state_budget)
         if k == 1:
-            how, win = "dismantlability", is_dismantlable(g)
+            kept = core(g)
+            how, win = "dismantlability", kept.bit_count() <= 1
         elif has_dominating_set(g, k):
             how, win = "domination", True
         else:
-            how, win = "solve", solve(g, k, state_budget)[1].cop_win
+            if reduced is None:
+                reduced = g.induced(kept)
+            how, win = "solve", solve(reduced, k, state_budget)[1].cop_win
         if settled is not None:
             settled[k] = how
         if win:

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import copslab.cli as cli
+import copslab.graphs as graphs_module
 from copslab.cli import main
 from copslab.corpus import theorem_corpus
 from copslab.generators import complete_graph, cycle_graph, gnp_random_graph, path_graph, petersen_graph
@@ -128,6 +129,14 @@ class TestSimulate:
         outcome = [r for r in records if r["type"] == "outcome"][0]
         assert outcome["result"] == "strategy_failure"
         assert verify_induced_path(path_graph(6), outcome["certificate"])
+
+    def test_graph_is_flooded_once(self, capsys, c5_file, monkeypatch):
+        # the command, the referee and the strategy all ask whether the graph is connected
+        floods = []
+        real = graphs_module.masks_connected
+        monkeypatch.setattr(graphs_module, "masks_connected", lambda masks: floods.append(len(masks)) or real(masks))
+        rc, _ = run_cli(capsys, "simulate", c5_file, "--t", "5")
+        assert rc == 0 and floods == [5]
 
     def test_disconnected_exit_two(self, capsys, tmp_path):
         path = tmp_path / "disc.g6"
@@ -751,8 +760,11 @@ class TestByteDeterminism:
              "71e37ec27b340e5d7e28593f66401297445bd720eeafb0011152f1a395088092"),
             (["conjecture-search", "--t", "6", "--n", "12", "--samples", "200", "--seed", "1"], 0,
              "307dc5f248557223ae6fef5a3835ab76f190238fadb559f1c89d03c36a0c2b51"),
+            # 112 of the 300 samples are settled by a solve, which runs on the core
+            (["conjecture-search", "--t", "8", "--n", "14", "--samples", "300", "--seed", "1", "--stats"], 0,
+             "bc9527639892a54abdcaacc9572ccffc60fa4215475dee546f3057f10168052d"),
         ],
-        ids=["lip", "check", "conjecture-search"],
+        ids=["lip", "check", "conjecture-search", "conjecture-search-solves"],
     )
     def test_search_output_digest(self, capsys, monkeypatch, tmp_path, argv, rc, digest):
         # The induced-path search and the sampler, pinned byte for byte on 20 sparse

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -194,6 +195,19 @@ class TestIsConnected:
         assert not Graph.from_edges(2, []).is_connected()
         assert not Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected()
         assert cycle_graph(70).is_connected() and not Graph.from_edges(70, path_graph(69).edges()).is_connected()
+
+
+class TestInducedSubgraph:
+    @given(graphs(max_n=9), st.data())
+    def test_relabels_the_region_in_order(self, g, data):
+        region = sorted(_draw_region(g, data))
+        h = g.induced(_mask(region))
+        assert h.n == len(region)
+        assert h.edges() == [(i, j) for i, j in itertools.combinations(range(h.n), 2) if g.has_edge(region[i], region[j])]
+
+    def test_whole_graph_is_itself(self):
+        g = petersen_graph()
+        assert g.induced((1 << 10) - 1) is g
 
 
 class TestDistancesWithin:

@@ -136,8 +136,8 @@ class TestMatchesReferenceSearch:
 
     def test_hunt_corpus_orders(self):
         # the 120 benchmark graphs with their stored order L (tag, graph6): the
-        # order and a verified witness, P_{L+1}-free, and P_L's certificate is
-        # the witness capped at L
+        # order and a verified witness, P_{L+1}-free, and for t = L-2 .. L the
+        # certificate of P_t is the witness capped at t
         lines = HUNT.read_text().splitlines()
         assert len(lines) == 120
         for line in lines:
@@ -146,7 +146,8 @@ class TestMatchesReferenceSearch:
             order, witness = longest_induced_path_order(g)
             assert order == L and verify_induced_path(g, witness), text
             assert is_pt_free(g, L + 1) == (True, None), text
-            assert is_pt_free(g, L) == (False, longest_induced_path_order(g, cap=L)[1]), text
+            for t in range(L - 2, L + 1):
+                assert is_pt_free(g, t) == (False, longest_induced_path_order(g, cap=t)[1]), (text, t)
 
 
 class TestPtFree:
@@ -171,6 +172,25 @@ class TestPtFree:
     def test_monotone_in_t(self, g, t):
         if is_pt_free(g, t)[0]:
             assert is_pt_free(g, t + 1)[0]
+
+    @given(st.one_of(graphs(max_n=9), sparse_graphs(max_n=12)), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_decision_matches_brute_force_and_capped_witness(self, g, data):
+        # The decision search: free iff subset enumeration finds no t-vertex path,
+        # and the certificate is the capped search's witness, at t = 1, 2, up to
+        # the order and past n
+        order = brute_longest_induced_path(g)
+        t = data.draw(st.one_of(st.sampled_from([1, 2, order, order + 1, g.n + 1]), st.integers(1, g.n + 2)))
+        free, cert = is_pt_free(g, t)
+        assert free == (order < t)
+        assert cert == (None if free else longest_induced_path_order(g, cap=t)[1])
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_small_t(self, t):
+        # every vertex is a P_1; every edge a P_2; a clique has no P_3
+        assert is_pt_free(Graph.from_edges(0, []), t) == (True, None)
+        assert is_pt_free(Graph.from_edges(3, []), t) == ((False, [0]) if t == 1 else (True, None))
+        assert is_pt_free(complete_graph(4), t)[0] == (t == 3)
 
     @given(graphs(max_n=9), st.integers(1, 10))
     @settings(max_examples=60, deadline=None)

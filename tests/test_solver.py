@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import copslab.solver as solver_module
 import copslab.verify as verify_module
@@ -194,6 +195,34 @@ def solve_only_cop_number(g, k_max):
     return None
 
 
+def corona(h: Graph) -> Graph:
+    """H o K1: a pendant vertex n + v hung on every vertex v of H; every pendant is a corner."""
+    return Graph.from_edges(2 * h.n, h.edges() + [(v, h.n + v) for v in range(h.n)])
+
+
+def has_corner(g: Graph) -> bool:
+    """Whether some vertex u has a neighbour v with N[u] inside N[v], read pair by pair."""
+    return any(neighbours(g, u) | {u} <= neighbours(g, v) | {v} for u in range(g.n) for v in neighbours(g, u))
+
+
+@st.composite
+def corner_rich_graphs(draw):
+    """Connected graphs on at most 14 vertices with many corners: coronas H o K1 of
+    connected H on 2-7 vertices, and cycles C_m (m = 4..8) with trees hung on them."""
+    if draw(st.booleans()):
+        h = draw(graphs(min_n=2, max_n=7))
+        assume(h.is_connected())
+        return corona(h)
+    m = draw(st.integers(4, 8))
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    n = draw(st.integers(m, 14))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(m, n)]
+    return Graph.from_edges(n, edges)
+
+
+PETERSEN_WITH_TAIL = Graph.from_edges(12, petersen_graph().edges() + [(0, 10), (10, 11)])
+
+
 class TestCopNumberShortcuts:
     """cop_number settles k = 1 by dismantlability and k >= 2 by domination; a solve-only loop agrees."""
 
@@ -216,6 +245,43 @@ class TestCopNumberShortcuts:
     ], ids=["C4", "C5", "C6", "C9", "petersen", "K(6,2)", "K(7,2)"])
     def test_known_graphs_match_solve_only(self, g, k_max, expected):
         assert cop_number(g, k_max) == solve_only_cop_number(g, k_max) == expected
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(corner_rich_graphs())
+    def test_corner_rich_graphs_match_solve_only(self, g):
+        assert cop_number(g, 3) == solve_only_cop_number(g, 3)
+
+    @pytest.mark.parametrize("g,core_n", [
+        *((corona(cycle_graph(n)), n) for n in (4, 5, 6, 7)),
+        (PETERSEN_WITH_TAIL, 10),
+        (cycle_graph(7), 7),
+    ], ids=["C4oK1", "C5oK1", "C6oK1", "C7oK1", "petersen+tail", "C7"])
+    def test_solves_only_the_core(self, monkeypatch, g, core_n):
+        # every k that domination leaves open is solved on the core: a graph with no corner
+        solved = []
+        real_solve = solver_module.solve
+
+        def checked_solve(h, k, *args):
+            assert not has_corner(h)
+            solved.append(h.n)
+            return real_solve(h, k, *args)
+
+        monkeypatch.setattr(solver_module, "solve", checked_solve)
+        assert cop_number(g, 3) == solve_only_cop_number(g, 3)
+        assert solved and set(solved) == {core_n}
+
+    def test_core_keeps_the_budget_and_labels_of_the_graph(self):
+        # k = 2 and 3 are solved on the 10-vertex Petersen core, yet held to the
+        # 12-vertex state budget; the tail's two vertices need a third dominator
+        g = PETERSEN_WITH_TAIL
+        settled = {}
+        assert cop_number(g, 3, settled=settled) == 3
+        assert settled == {1: "dismantlability", 2: "solve", 3: "solve"}
+        assert solver_module.core(g) == (1 << 10) - 1
+        for budget in (state_space_size(g.n, 2) - 1, state_space_size(10, 2)):
+            with pytest.raises(SolverBudgetError) as info:
+                cop_number(g, 3, state_budget=budget)
+            assert info.value.required == state_space_size(g.n, 2)
 
     def test_domination_needs_k_distinct_vertices(self):
         assert has_dominating_set(cycle_graph(6), 2)  # N[0] and N[3]
