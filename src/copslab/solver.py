@@ -6,11 +6,10 @@ are interchangeable, which shrinks the space by up to k!. Values count plies
 value means the robber survives forever.
 
 The solve ranks the size-k cop multisets in `combinations_with_replacement`
-(lexicographic) order and builds each multiset's joint moves once, as a list
-of ranks. The robber dimension is a bitset: for each multiset T, `C[T]` holds
-the robber vertices already won with the cops to move and `R[T]` those won
-with the robber to move, both starting as the occupied vertices. Plies then
-alternate until one grows no mask:
+(lexicographic) order. The robber dimension is a bitset: for each multiset T,
+`C[T]` holds the robber vertices already won with the cops to move and `R[T]`
+those won with the robber to move, both starting as the occupied vertices.
+Plies then alternate until one grows no mask:
 
   cop ply     C[T] |= R[T'] for every T' one joint move from T
   robber ply  R[T] |= {r : N[r] is inside C[T]}
@@ -19,6 +18,18 @@ The first ply at which `C[T]` (or `R[T]`) holds r is the value of the state
 (T, r, cops to move) (or robber to move), and the ply at which `C[T]` becomes
 full is placement T's worst case. The per-state value dictionary is rebuilt
 from the recorded growth only when a caller asks for it.
+
+A cop ply runs from its smaller side, as a direction-optimizing BFS does
+(Beamer, Asanovic and Patterson, SC 2012). The open placements are those
+whose `C[T]` is not yet full. When fewer placements grew in the robber ply
+than are open, the ply pushes: it ORs each grown `R[T']` into `C[T]` along
+the joint moves of T'. Otherwise it pulls: each open T ORs `R[T']` over its
+own joint moves and stops at the first that fills `C[T]`. The joint-move
+relation is symmetric, and each `C[T]` already holds the `R[T']` of the ply
+before, so both directions leave the same masks and the same growth record.
+A joint-move list is a list of ranks, built the first time a ply needs it
+and then kept, so a placement that wins everywhere before its list is needed
+never gets one.
 
 Reporting converts plies into "cop moves including the initial placement"
 (placement is cop move 1), the single currency shared with the engine and
@@ -37,7 +48,7 @@ of the whole graph, as if it were solved.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, combinations_with_replacement
@@ -124,31 +135,55 @@ def estimate_solver_work(g: Graph, k: int) -> int:
     return h[k] * max(g.n, 1)
 
 
-def _ranked_joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """The size-k cop multisets in lexicographic order, and each one's joint moves as ranks.
+def _joint_moves(
+    g: Graph, k: int
+) -> tuple[list[tuple[int, ...]], list[list[int] | None], Callable[[int], list[int]]]:
+    """The size-k cop multisets in lexicographic order, their joint-move lists, and the list builder.
 
-    joint(T) = {v + S : v in N[T[0]], S in joint(T[1:])}, built size by size;
-    an add-vertex table maps (rank of S among the size j-1 multisets, v) to
-    the rank of S + v among the size j multisets.
+    joint(T) = {v + S : v in N[T[0]], S in joint(T[1:])}. An add-vertex table
+    maps (rank of S among the size j-1 multisets, v) to the rank of S + v
+    among the size j multisets. A list is None until `build(T)` makes and
+    keeps it, along with the shorter tail lists it needs. `build` does not
+    call itself, so the lists are freed with the last reference to it.
     """
     n = g.n
     closed = [list(members(mask)) for mask in g.closed_masks]
     multisets = [(v,) for v in range(n)]
-    moves = closed  # size 1: a multiset's rank is its vertex
+    # Indexed by size j: the lists built so far and, per rank, the rank of its
+    # tail and the add-table rows of its head's closed neighbourhood.
+    lists: list[list[list[int] | None]] = [[], closed]
+    tails: list[list[int]] = [[], []]
+    head_rows: list[list[list[list[int]]]] = [[], []]
     for j in range(2, k + 1):
-        shorter, shorter_moves = multisets, moves
+        shorter = multisets
         multisets = list(combinations_with_replacement(range(n), j))
         rank = {T: i for i, T in enumerate(multisets)}
         add = [[rank[tuple(sorted(S + (v,)))] for S in shorter] for v in range(n)]
-        moves = []
+        tail: list[int] = []
+        rows: list[list[list[int]]] = []
         for a in range(n):
-            rows = [add[v] for v in closed[a]]
             # The tails of the multisets with head a are the shorter multisets
             # with minimum >= a: the last C(n-a+j-2, j-1) of them, in order.
             first = len(shorter) - comb(n - a + j - 2, j - 1)
-            for tail_moves in shorter_moves[first:]:
-                moves.append(list({row[s] for row in rows for s in tail_moves}))
-    return multisets, moves
+            tail += range(first, len(shorter))
+            rows += [[add[v] for v in closed[a]]] * (len(shorter) - first)
+        lists.append([None] * len(multisets))
+        tails.append(tail)
+        head_rows.append(rows)
+
+    def build(T: int) -> list[int]:
+        missing = []  # (size, rank) down the chain of tails, to the first list already built
+        j = k
+        while lists[j][T] is None:
+            missing.append((j, T))
+            T = tails[j][T]
+            j -= 1
+        moves = lists[j][T]
+        for j, T in reversed(missing):
+            moves = lists[j][T] = list({row[x] for row in head_rows[j][T] for x in moves})
+        return moves
+
+    return multisets, lists[k], build
 
 
 def solve(
@@ -169,7 +204,7 @@ def solve(
     if required > state_budget:
         raise SolverBudgetError(required, state_budget)
 
-    multisets, moves = _ranked_joint_moves(g, k)
+    multisets, moves, build = _joint_moves(g, k)
     ranks = range(len(multisets))
     full = (1 << n) - 1
     reach = g.closed_masks
@@ -186,16 +221,16 @@ def solve(
     growth: list[Growth] = [(0, True, ranks, occ), (0, False, ranks, occ)]
     best = (0, occ.index(full)) if full in occ else None  # (ply, rank) of the first full C[T]
     trapped: dict[int, int] = {}  # C mask -> robber vertices whose closed neighbourhood it holds
-    before = occ
+    unfilled = [T for T in ranks if C[T] != full]  # the open placements, in rank order
+    cops_grown = [T for T in ranks if C[T] != occ[T]]
     ply = 1
-    while True:
-        cops_grown = [T for T in ranks if C[T] != before[T]]
-        if not cops_grown:
-            break
+    while cops_grown:
         masks = [C[T] for T in cops_grown]
         growth.append((ply, True, cops_grown, masks))
-        if best is None and full in masks:
-            best = (ply, cops_grown[masks.index(full)])
+        if full in masks:
+            if best is None:
+                best = (ply, cops_grown[masks.index(full)])
+            unfilled = [T for T in unfilled if C[T] != full]
 
         ply += 1  # the robber moves
         robber_grown = []
@@ -219,11 +254,26 @@ def solve(
         growth.append((ply, False, robber_grown, [R[T] for T in robber_grown]))
 
         ply += 1  # the cops move
-        before = C[:]
-        for T2 in robber_grown:
-            m = R[T2]
-            for T in moves[T2]:
-                C[T] |= m
+        if len(robber_grown) < len(unfilled):
+            # push: send each grown R[T2] along T2's joint moves
+            before = C[:]
+            for T2 in robber_grown:
+                m = R[T2]
+                for T in moves[T2] or build(T2):
+                    C[T] |= m
+            cops_grown = [T for T in unfilled if C[T] != before[T]]
+        else:
+            # pull: each open T ORs R over its joint moves, up to the first that fills C[T]
+            cops_grown = []
+            for T in unfilled:
+                c = C[T]
+                for T2 in moves[T] or build(T):
+                    c |= R[T2]
+                    if c == full:
+                        break
+                if c != C[T]:
+                    C[T] = c
+                    cops_grown.append(T)
 
     table = SolverTable(k=k, n=n, multisets=multisets, growth=growth)
     if best is None:

@@ -1,20 +1,28 @@
-"""Reference retrograde solver and table-guided cop team, both for tests only.
+"""Reference retrograde solvers and a table-guided cop team, all for tests only.
 
-`reference_solve` is the package's previous `copslab.solver.solve`: a BFS over
-(cop tuple, robber, side) dictionary keys, kept as an independent oracle for
-differential tests of the ranked bitset solver. With `joint_cop_moves`, its
-explicit enumeration of one joint cop move, it shares only the result type
-with the package. `OptimalCop` plays a solved table's moves for the cops.
+`reference_solve` is an early `copslab.solver.solve`: a BFS over (cop tuple,
+robber, side) dictionary keys, kept as an independent oracle for differential
+tests of the ranked bitset solver. With `joint_cop_moves`, its explicit
+enumeration of one joint cop move, it shares only the result type with the
+package.
+
+`ranked_push_solve` is the bitset solver as it was before it pulled cop plies
+into open placements: it builds every joint-move list up front and pushes each
+grown robber mask along its list. It reaches the sizes that `reference_solve`
+cannot, and its growth record is the one the package's must reproduce.
+
+`OptimalCop` plays a solved table's moves for the cops.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import combinations_with_replacement, product
+from math import comb
 
 from copslab.engine import GameState
-from copslab.graphs import Graph
-from copslab.solver import SolveResult, SolverTable
+from copslab.graphs import Graph, members
+from copslab.solver import Growth, SolveResult, SolverTable
 
 from conftest import neighbours
 
@@ -110,6 +118,104 @@ def reference_solve(
     if best_T is None:
         return values, SolveResult(False, None, None)
     return values, SolveResult(True, 1 + (best_worst + 1) // 2, best_T)
+
+
+def _ranked_joint_moves(g: Graph, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The size-k cop multisets in lexicographic order, and each one's joint moves as ranks.
+
+    joint(T) = {v + S : v in N[T[0]], S in joint(T[1:])}, built size by size;
+    an add-vertex table maps (rank of S among the size j-1 multisets, v) to
+    the rank of S + v among the size j multisets.
+    """
+    n = g.n
+    closed = [list(members(mask)) for mask in g.closed_masks]
+    multisets = [(v,) for v in range(n)]
+    moves = closed  # size 1: a multiset's rank is its vertex
+    for j in range(2, k + 1):
+        shorter, shorter_moves = multisets, moves
+        multisets = list(combinations_with_replacement(range(n), j))
+        rank = {T: i for i, T in enumerate(multisets)}
+        add = [[rank[tuple(sorted(S + (v,)))] for S in shorter] for v in range(n)]
+        moves = []
+        for a in range(n):
+            rows = [add[v] for v in closed[a]]
+            # The tails of the multisets with head a are the shorter multisets
+            # with minimum >= a: the last C(n-a+j-2, j-1) of them, in order.
+            first = len(shorter) - comb(n - a + j - 2, j - 1)
+            for tail_moves in shorter_moves[first:]:
+                moves.append(list({row[s] for row in rows for s in tail_moves}))
+    return multisets, moves
+
+
+def ranked_push_solve(g: Graph, k: int) -> tuple[SolverTable, SolveResult]:
+    """The k-cop game on the connected graph g, solved with every joint-move list built first.
+
+    Each cop ply sends the robber masks that grew in the ply before along their
+    joint-move lists; otherwise the plies, the growth record and the verdict
+    are those of `copslab.solver.solve`.
+    """
+    n = g.n
+    multisets, moves = _ranked_joint_moves(g, k)
+    ranks = range(len(multisets))
+    full = (1 << n) - 1
+    reach = g.closed_masks
+    occ = []
+    C = []  # ply 1: every cop stays or steps, so the cops cover N[T]
+    for T in multisets:
+        o = c = 0
+        for v in T:
+            o |= 1 << v
+            c |= reach[v]
+        occ.append(o)
+        C.append(c)
+    R = occ[:]
+    growth: list[Growth] = [(0, True, ranks, occ), (0, False, ranks, occ)]
+    best = (0, occ.index(full)) if full in occ else None  # (ply, rank) of the first full C[T]
+    trapped: dict[int, int] = {}  # C mask -> robber vertices whose closed neighbourhood it holds
+    before = occ
+    ply = 1
+    while True:
+        cops_grown = [T for T in ranks if C[T] != before[T]]
+        if not cops_grown:
+            break
+        masks = [C[T] for T in cops_grown]
+        growth.append((ply, True, cops_grown, masks))
+        if best is None and full in masks:
+            best = (ply, cops_grown[masks.index(full)])
+
+        ply += 1  # the robber moves
+        robber_grown = []
+        for T in cops_grown:
+            c = C[T]
+            won = trapped.get(c)
+            if won is None:
+                free = full ^ c
+                near = 0
+                while free:
+                    low = free & -free
+                    near |= reach[low.bit_length() - 1]
+                    free ^= low
+                won = trapped[c] = full ^ near
+            r = R[T]
+            if r | won != r:
+                R[T] = r | won
+                robber_grown.append(T)
+        if not robber_grown:
+            break
+        growth.append((ply, False, robber_grown, [R[T] for T in robber_grown]))
+
+        ply += 1  # the cops move
+        before = C[:]
+        for T2 in robber_grown:
+            m = R[T2]
+            for T in moves[T2]:
+                C[T] |= m
+
+    table = SolverTable(k=k, n=n, multisets=multisets, growth=growth)
+    if best is None:
+        return table, SolveResult(False, None, None)
+    best_ply, best_T = best
+    return table, SolveResult(True, 1 + (best_ply + 1) // 2, multisets[best_T])
 
 
 class OptimalCop:

@@ -796,6 +796,20 @@ class TestByteDeterminism:
             out.update(f"{rc}\n{capsys.readouterr().out}".encode())
         assert out.hexdigest() == digest
 
+    def test_solve_table_digest(self, capsys, monkeypatch, tmp_path):
+        # Whole solver tables, pinned byte for byte: for each call its exit code, its
+        # record and its --dump-table file. Petersen is a cop win at k = 3 and a robber
+        # win at k = 2, C_12 plays a long game, and the last standard-corpus graph is
+        # dominated at ply 1.
+        monkeypatch.chdir(tmp_path)
+        out = hashlib.sha256()
+        for graph6, k in [("IheA@GUAo", 3), ("IheA@GUAo", 2), ("KhCGGC@?G?o@", 2), ("IFeI_znlo", 4)]:
+            (tmp_path / "g.g6").write_text(graph6 + "\n")
+            rc = main(["solve", "g.g6", "--cops", str(k), "--dump-table", "table.txt"])
+            dump = (tmp_path / "table.txt").read_text()
+            out.update(f"{rc}\n{capsys.readouterr().out}{dump}".encode())
+        assert out.hexdigest() == "5194af2d5943759143344fa10d833c7e6bffedf4c01bb493936629239bc5e943"
+
     def test_verify_theorem_twice_identical(self, tmp_path):
         corpus = tmp_path / "c.g6"
         corpus.write_text(encode_graph6(cycle_graph(5)) + "\n" + encode_graph6(path_graph(4)) + "\n")

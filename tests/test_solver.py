@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -20,6 +22,7 @@ from copslab.generators import (
     star_graph,
 )
 from copslab.graphs import Graph
+from copslab.induced import longest_induced_path_order
 from copslab.solver import (
     SolverBudgetError,
     cop_number,
@@ -32,7 +35,7 @@ from copslab.solver import (
 from copslab.verify import conjecture_probe, verify_theorem_bound
 
 from conftest import cli_env, graphs, neighbours
-from reference_solver import joint_cop_moves, reference_solve
+from reference_solver import joint_cop_moves, ranked_push_solve, reference_solve
 
 
 class TestSolveKnownValues:
@@ -102,7 +105,15 @@ class TestMonotonicityAndAudit:
 
     @pytest.mark.parametrize(
         "g,k",
-        [(cycle_graph(5), 2), (path_graph(6), 1), (complete_graph(4), 2), (petersen_graph(), 2)],
+        [
+            (cycle_graph(5), 2),
+            (path_graph(6), 1),
+            (complete_graph(4), 2),
+            (petersen_graph(), 2),
+            (petersen_graph(), 3),  # a cop win
+            (cycle_graph(12), 2),  # a long game
+            (star_graph(7), 3),  # every placement with a cop on the centre wins at ply 1
+        ],
     )
     def test_local_fixpoint(self, g, k):
         # recompute every state's value from its successors
@@ -165,6 +176,30 @@ class TestAgainstOracles:
                 assert table.values == ref_values, (g.edges(), k)
                 compared += 1
         assert compared > 600
+
+    def test_matches_ranked_push_solver_on_the_standard_corpus(self):
+        # The k = t-2 solves that verify-theorem runs. Most of them exceed the
+        # reach of reference_solve; a seeded 150 of the 251 keep the test short.
+        admitted = []
+        for _, g in CORPUS:
+            k = max(longest_induced_path_order(g)[0] + 1, 3) - 2
+            if verify_module.over_work_budget(g, k) is None:
+                admitted.append((g, k))
+        assert len(admitted) == 251
+        for g, k in random.Random(0).sample(admitted, 150):
+            table, result = solve(g, k)
+            ref_table, ref_result = ranked_push_solve(g, k)
+            assert result == ref_result, (g.edges(), k)
+            assert table.values == ref_table.values, (g.edges(), k)
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(graphs(max_n=9), st.integers(1, 4))
+    def test_matches_ranked_push_solver_on_random_graphs(self, g, k):
+        assume(g.is_connected())
+        table, result = solve(g, k)
+        ref_table, ref_result = ranked_push_solve(g, k)
+        assert result == ref_result
+        assert table.values == ref_table.values
 
     def test_one_cop_wins_iff_dismantlable(self):
         for name, g in CORPUS:
@@ -318,6 +353,19 @@ class TestBudgets:
     def test_work_estimate_rejects_negative_k(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
             estimate_solver_work(cycle_graph(5), -1)
+
+
+def test_solve_leaves_no_reference_cycles():
+    # A solve's joint-move lists must be freed when it returns, not at the next
+    # cyclic collection: a batch of solves in one process would pile them up.
+    gc.collect()
+    gc.disable()
+    try:
+        solve(petersen_graph(), 3)
+        solve(cycle_graph(12), 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solver_loads_no_strategy_code():
