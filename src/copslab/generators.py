@@ -4,14 +4,12 @@ All randomness flows through SplitMix64 (see rng.py) so that a (kind, args,
 seed) triple identifies one graph forever. G(n,p) scans vertex pairs (i,j),
 i < j, in lexicographic order and keeps an edge when the next 53-bit float
 is below p. The draws of one graph are decided in one packed pass
-(`SplitMix64.bernoulli_mask`) and become neighbour masks row by row, so the
-sampler tests connectivity on the masks and builds a `Graph` only for
-connected draws.
+(`SplitMix64.bernoulli_mask`) and become neighbour masks row by row.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, masks_connected
+from .graphs import Graph
 from .induced import is_pt_free
 from .rng import SplitMix64
 
@@ -100,11 +98,10 @@ def connected_ptfree_graph(n: int, t: int, seed: int) -> Graph:
     p = min(1.5 / n, 0.9)
     stuck = 0
     for _ in range(MAX_ATTEMPTS):
-        masks = _gnp(n, p, rng)
-        if masks_connected(masks):
-            g = Graph(n, tuple(masks))
-            if is_pt_free(g, t)[0]:
-                return g
+        g = Graph(n, tuple(_gnp(n, p, rng)))
+        # the Graph keeps the flood's answer, so `cop_number` does not flood again
+        if g.is_connected() and is_pt_free(g, t)[0]:
+            return g
         if p >= 0.9:
             stuck += 1
             if stuck >= 50:

@@ -13,11 +13,10 @@ run as a decision: its bar starts at t-1, so it searches only for a t-vertex
 path, and its certificate is the path the capped search would return.
 
 The search runs over bitsets with an explicit stack, so no path order runs
-into the recursion limit. Its bounds, cheapest first: the free vertices
-(outside the path and its neighbourhood), then those a flood from the
-candidates reaches through them, then, close to the cut-off, that count less
-the reached vertices that could only end an arm, all but one per arm. Sized
-for desk-scale corpora: uncapped on sparse G(n, c/n) (c ~ 4-5) up to n = 36,
+into the recursion limit. Its bounds, cheapest first: one candidate per arm
+that can still grow, then the free vertices (outside the path and its
+neighbourhood), then those a flood from the candidates reaches through them.
+Sized for desk-scale corpora: uncapped on sparse G(n, c/n) (c ~ 4-5) up to n = 36,
 capped P_t-freeness checks to n ~ 30, and paths and cycles such as P_1500
 and C_1500.
 Heuristics are deliberately out of scope: downstream checks need the true
@@ -124,11 +123,15 @@ def _order(g: Graph, target: int, path: list[int], floor: int = 0) -> list[int]:
     which grows from v's other side by at most as many vertices as A has, so
     each path is searched with its longer arm as A. A node is skipped when its
     arms cannot add more than best - size vertices between them (size: the
-    vertices on its path): one candidate each (A's from the tip, B's from v;
-    two only if some pair of them is non-adjacent), then free vertices, which
-    a flood from both arms' candidates bounds (see _Flood). The root always
-    floods, so a vertex whose component holds at most `best` vertices is
-    skipped there.
+    vertices on its path): one candidate for each arm that can still grow (A's
+    from the tip, B's from v), then free vertices, which a flood from both
+    arms' candidates bounds (see _Flood). The root floods, so a vertex whose
+    component holds fewer than `best` vertices is skipped there.
+
+    Each bound over-counts what a subtree can add, so no skipped subtree
+    holds a path longer than `best`. A weaker bound only opens more nodes:
+    the DFS order does not depend on the bar, so `best` rises at the same
+    nodes and the same path is returned.
     """
     n = g.n
     nbr = g.nbr_masks
@@ -152,9 +155,8 @@ def _order(g: Graph, target: int, path: list[int], floor: int = 0) -> list[int]:
             break
         alive ^= 1 << v
         cand = turn = nbr[v] & alive
-        # A path through v holds at most two of its neighbours, and at least
-        # one unless it is v alone.
-        if not cand or (alive & ~nbr[v]).bit_count() + 3 <= best:
+        # v alone cannot beat `best`, which is at least 1.
+        if not cand:
             continue
         size = 1  # vertices on the path
         trail[0] = v
@@ -167,20 +169,12 @@ def _order(g: Graph, target: int, path: list[int], floor: int = 0) -> list[int]:
                 # Arm A ends here: open the node as the root of arm B.
                 cand, turn, flood, most, split = turn, 0, None, 2 * size - 1, size
             # The subtree matters only if its arms can add more than best -
-            # size vertices: one candidate each, then at least `room` free
-            # vertices (outside the path and its neighbourhood).
+            # size vertices: one candidate on each arm that can still grow (B
+            # while `turn` is nonzero), then at least `room` free vertices
+            # (outside the path and its neighbourhood).
             room = best - size
-            arms = 1
             if room > 0 and turn:
-                # Both arms grow only from two non-adjacent candidates.
-                rest = cand
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    if turn & ~nbr[low.bit_length() - 1] & ~low:
-                        arms = 2
-                        room -= 1
-                        break
+                room -= 1
             if room > 0:
                 free = full ^ blocked
                 spare = free.bit_count() - room
@@ -190,9 +184,9 @@ def _order(g: Graph, target: int, path: list[int], floor: int = 0) -> list[int]:
                     # A flood prunes only by leaving out more than `spare` free
                     # vertices, and near the leaves the subtree costs less than
                     # the flood; at the root it bounds v's component.
-                    if flood is None or (not flood.whole and flood.size < room + 2):
-                        flood = _Flood(nbr, cand | turn, free, room + 2)
-                    if flood.whole and flood.cannot_improve(nbr, cand | turn, room, arms):
+                    if flood is None or (not flood.whole and flood.size < room):
+                        flood = _Flood(nbr, cand | turn, free, room)
+                    if flood.whole and flood.size < room:
                         cand = 0
             if cand:
                 cands.append(cand)
@@ -243,11 +237,9 @@ class _Flood:
     (outside the path and its neighbourhood) along a path through them, so it
     lies in `reach`. The flood stops once it holds `limit` vertices, so it
     costs O(limit) set operations, not O(n); `whole` says whether it finished.
-    `ends`, filled in on demand, holds the reached vertices with at most one
-    neighbour in reach | candidates.
     """
 
-    __slots__ = ("reach", "size", "whole", "ends")
+    __slots__ = ("reach", "size", "whole")
 
     def __init__(self, nbr: tuple[int, ...], cand: int, free: int, limit: int):
         layer = 0
@@ -272,7 +264,6 @@ class _Flood:
         self.reach = reach
         self.size = size
         self.whole = not layer
-        self.ends: int | None = None
 
     def after(self, tip_nbr: int) -> "_Flood":
         """The flood of this node's only child, whose tip has neighbourhood `tip_nbr`.
@@ -283,41 +274,13 @@ class _Flood:
         vertices outside them, so with one arm the child's flood is this one
         less the child's candidates, and a partial flood stays a lower bound.
         With two arms, B's candidates can only shrink, so a whole flood carried
-        over is an upper bound, which is all pruning needs. The vertices that
-        stay are not adjacent to the tip, so their degrees within
-        reach | candidates cannot grow, and the ends carry over.
+        over is an upper bound, which is all pruning needs.
         """
         child = _Flood.__new__(_Flood)
         child.reach = self.reach & ~tip_nbr
         child.size = child.reach.bit_count()
         child.whole = self.whole
-        child.ends = None if self.ends is None else self.ends & ~tip_nbr
         return child
-
-    def cannot_improve(self, nbr: tuple[int, ...], cand: int, room: int, arms: int) -> bool:
-        """Whether `arms` arms, each a candidate then reached vertices, hold fewer than `room` of the latter.
-
-        They hold at most `size`. Within 2 of `room` the bound is tightened: a
-        reached vertex with at most one neighbour in reach | cand can only end
-        an arm, so at most one of them counts per arm.
-        """
-        if self.size < room:
-            return True
-        if self.size >= room + 2:
-            return False
-        if self.ends is None:
-            region = self.reach | cand
-            ends = 0
-            rest = self.reach
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if (nbr[low.bit_length() - 1] & region).bit_count() <= 1:
-                    ends |= low
-            self.ends = ends
-        ends = self.ends
-        kept = (ends != 0) + (arms > 1 and ends & (ends - 1) != 0)
-        return self.size - ends.bit_count() + kept < room
 
 
 def is_pt_free(g: Graph, t: int) -> tuple[bool, list[int] | None]:

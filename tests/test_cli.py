@@ -758,13 +758,16 @@ class TestByteDeterminism:
              "346b996ede8c37a4bf240d8344a97c36cc6a6e1afbaeb006aaab5c763968babe"),
             (["check", "sparse.g6", "--t", "6", "--keep-going"], 1,
              "71e37ec27b340e5d7e28593f66401297445bd720eeafb0011152f1a395088092"),
+            # 12 free and 8 not-free: past the first path, so the bounds and floods prune
+            (["check", "sparse.g6", "--t", "18", "--keep-going"], 1,
+             "2966aaa3e081c360768b7d68b0ab2e853816e80ec3fc210790ee81570c449ad3"),
             (["conjecture-search", "--t", "6", "--n", "12", "--samples", "200", "--seed", "1"], 0,
              "307dc5f248557223ae6fef5a3835ab76f190238fadb559f1c89d03c36a0c2b51"),
             # 112 of the 300 samples are settled by a solve, which runs on the core
             (["conjecture-search", "--t", "8", "--n", "14", "--samples", "300", "--seed", "1", "--stats"], 0,
              "bc9527639892a54abdcaacc9572ccffc60fa4215475dee546f3057f10168052d"),
         ],
-        ids=["lip", "check", "conjecture-search", "conjecture-search-solves"],
+        ids=["lip", "check", "check-capped", "conjecture-search", "conjecture-search-solves"],
     )
     def test_search_output_digest(self, capsys, monkeypatch, tmp_path, argv, rc, digest):
         # The induced-path search and the sampler, pinned byte for byte on 20 sparse
