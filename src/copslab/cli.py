@@ -211,16 +211,22 @@ def _each(items, run, jobs: int):
 
 
 def _gather(readers: list):
-    """Read the workers' messages round-robin; a worker that ends without its end message raises."""
+    """Read the workers' messages round-robin; a worker that ends without its end message raises.
+
+    A message is the JSON of its tag, a tab, and the record line as the worker's
+    run made it; `_line` escapes every control character, so the first tab and
+    the newline are the message's own.
+    """
     for j in itertools.cycle(range(len(readers))):
         message = readers[j].readline()
-        if not message:
+        if not message.endswith(b"\n"):
             raise RuntimeError(f"graph worker {j} of {len(readers)} ended without finishing")
-        tag, line = json.loads(message)
+        head, _, line = message[:-1].decode().partition("\t")
+        tag = json.loads(head)
         if tag == _END:
             return
         if tag == _RAISED:
-            raise _WorkerError(line)
+            raise _WorkerError(json.loads(line))
         yield (tuple(tag) if isinstance(tag, list) else tag), line  # JSON made a tuple tag a list
 
 
@@ -232,8 +238,8 @@ def _worker(items, run, j: int, jobs: int, fd: int, inherited: list[int]):
             os.close(other)
         with open(fd, "wb") as out:
 
-            def send(tag: str, line: str) -> None:
-                out.write(json.dumps([tag, line]).encode() + b"\n")
+            def send(tag, line: str) -> None:
+                out.write(f"{json.dumps(tag)}\t{line}\n".encode())
                 out.flush()  # the parent may be waiting for this very item
 
             try:
@@ -241,7 +247,7 @@ def _worker(items, run, j: int, jobs: int, fd: int, inherited: list[int]):
                     send(*run(item))
                 send(_END, "")
             except Exception as exc:  # the parent raises it at this item's place in the output
-                send(_RAISED, _describe(exc))
+                send(_RAISED, json.dumps(_describe(exc)))  # its text may hold a tab or a newline
         status = 0
     finally:
         os._exit(status)  # never run the caller's clean-up or atexit code
@@ -252,7 +258,7 @@ def _write_each(items, run, paths=(), stop: str | None = None) -> Counter:
     tags: Counter = Counter()
     with contextlib.closing(_each(items, run, _jobs(paths))) as results:
         for tag, line in results:
-            print(line)
+            sys.stdout.write(line + "\n")
             tags[tag] += 1
             if tag == stop:
                 break

@@ -3,7 +3,9 @@
 A connected graph whose longest induced path has t-1 vertices is P_t-free.
 `verify_theorem_bound` checks the paper's result on it: t-2 cops win, and the
 path-hunting strategy captures every robber within t-1 cop moves; it also
-holds the strategy to optimal play with the same cop count. The t-3 question
+holds the strategy to optimal play with the same cop count. That optimum comes
+from a full solve where the work budget admits one; past it, a theorem settles
+it when k vertices dominate the graph. The t-3 question
 (do t-3 cops already suffice?) is open, so its status is recorded and never
 counted as a failure: `TheoremBoundReport.conjecture_status` reads it off the
 cop number the report already has, and `conjecture_probe` searches the cop
@@ -25,6 +27,7 @@ from .solver import (
     SolverBudgetError,
     cop_number,
     estimate_solver_work,
+    has_dominating_set,
     solve,
     state_space_size,
 )
@@ -63,8 +66,10 @@ class TheoremBoundReport:
 
     (a) some placement of t-2 cops wins; (b) the path-hunting strategy
     captures every robber within t-1 cop moves; (c) its capture time is no
-    better than optimal play with the same cop count (skipped with a reason
-    when the full solve exceeds the work budget).
+    better than optimal play with the same cop count. A full solve gives the
+    optimum; when it exceeds the work budget, k < n cops need exactly 2 moves
+    if k vertices dominate the graph. (c) is skipped with a reason only when
+    neither the solve nor domination settles it.
     """
 
     n: int
@@ -105,9 +110,9 @@ def verify_theorem_bound(g: Graph, state_budget: int = DEFAULT_STATE_BUDGET) -> 
     solver_moves = None
     check_c: bool | None = None
     skip_reason = over_work_budget(g, k)
-    if skip_reason is None and state_space_size(g.n, k) > state_budget:
-        skip_reason = f"solve with k={k} exceeds the state budget"
-    if skip_reason is None:
+    if state_space_size(g.n, k) > state_budget:
+        skip_reason = skip_reason or f"solve with k={k} exceeds the state budget"
+    elif skip_reason is None:
         _, result = solve(g, k, state_budget)
         solver_moves = result.optimal_capture_cop_moves
         check_c = (
@@ -115,6 +120,12 @@ def verify_theorem_bound(g: Graph, state_budget: int = DEFAULT_STATE_BUDGET) -> 
             and strategy_moves is not None
             and strategy_moves >= solver_moves
         )
+    elif k < g.n and has_dominating_set(g, k):
+        # Over the work budget, a theorem: fewer cops than vertices leave a robber start
+        # free, so the optimum is 2 exactly when k vertices dominate g (C(n, k) sets,
+        # within the state budget's C(n+k-1, k) multisets).
+        skip_reason, solver_moves = None, 2
+        check_c = strategy_moves is not None and strategy_moves >= 2
 
     return TheoremBoundReport(
         n=g.n,

@@ -22,7 +22,7 @@ from copslab.induced import longest_induced_path_order, verify_induced_path
 from copslab.rng import SplitMix64
 from copslab.robbers import GreedyRobber, OptimalRobber, RandomRobber
 from copslab.solver import solve
-from copslab.verify import verify_theorem_bound
+from copslab.verify import over_work_budget, verify_theorem_bound
 
 from conftest import brute_longest_induced_path, cli_env
 
@@ -46,15 +46,16 @@ def corpus():
 def corpus_reports(corpus):
     """(name, verify_theorem_bound report, simulated game) per graph, shared by criteria 1-3.
 
-    The strategy plays the optimal robber wherever the report's capture-time
-    solve ran; the report keeps only that solve's result, so the robber's
-    table is solved here again.
+    The strategy plays the optimal robber wherever the work gate admits the
+    k = t-2 solve; the report keeps only that solve's result, so the robber's
+    table is solved here again. The gate is asked directly: over it, the
+    report's capture time comes from domination, and no table exists.
     """
     reports = []
     for name, g in corpus:
         rep = verify_theorem_bound(g)
         sim_outcome = None
-        if rep.solver_capture_moves is not None:
+        if over_work_budget(g, rep.t - 2) is None:
             table, _ = solve(g, rep.t - 2)
             sim_outcome = play(g, GyarfasCop(rep.t), OptimalRobber(table)).outcome
         reports.append((name, rep, sim_outcome))
@@ -100,14 +101,14 @@ def test_criterion_2_oracle_cross_check(corpus_reports):
                 failures.append(
                     (name, "faster than optimal", rep.strategy_capture_moves, rep.solver_capture_moves)
                 )
-            if sim.result == CAPTURED and sim.cop_moves < rep.solver_capture_moves:
+            if sim is not None and sim.result == CAPTURED and sim.cop_moves < rep.solver_capture_moves:
                 failures.append((name, "sim faster than optimal", sim.cop_moves))
     report(
         2,
         "solver cross-check",
         failures,
         f"cop_number <= t-2 on all {len(corpus_reports)}; capture-time comparison "
-        f"on the {compared} within the solver work budget",
+        f"on {compared} (the solve within the work budget, domination past it)",
     )
 
 

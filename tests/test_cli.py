@@ -748,7 +748,7 @@ class TestByteDeterminism:
         out = capsys.readouterr().out
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "1adc675a6da0e904fbc032fc9812629772bc112a336f91b21bab5f821088517d"
+            "a7ec610edeb38e58d0049c1ef39f029226b3511c8f3d46b6aa7ac3e4243e0c2c"
         )
 
     @pytest.mark.parametrize(

@@ -122,6 +122,19 @@ class TestWorkerFailures:
         assert len(out.splitlines()) == 6
         assert out.splitlines()[-1] == '{"error":"internal error: RuntimeError: boom","type":"error"}'
 
+    def test_exception_text_with_tab_and_newline(self, capsys, monkeypatch, junk_file):
+        # a worker's message ends at its newline and splits at its first tab, so the
+        # exception's text travels JSON-encoded and comes back whole
+        def broken(g, cap=None):
+            raise RuntimeError("tab\there\nnewline")
+
+        monkeypatch.setattr(cli, "longest_induced_path_order", broken)
+        inline = run_with_jobs(capsys, monkeypatch, 1, "lip", junk_file)
+        assert run_with_jobs(capsys, monkeypatch, 3, "lip", junk_file) == inline
+        assert inline[0] == 2
+        last = json.loads(inline[1].splitlines()[-1])
+        assert last["error"] == "internal error: RuntimeError: tab\there\nnewline"
+
     def test_worker_that_dies_is_an_internal_error(self, capsys, monkeypatch, junk_file):
         parent = os.getpid()
 

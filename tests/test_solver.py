@@ -438,13 +438,69 @@ class TestTheoremBound:
         assert cop_number(petersen_graph(), 3, settled=settled) == 3
         assert settled == {1: "dismantlability", 2: "solve", 3: "domination"}
 
-    def test_work_budget_skips_solver_check(self, monkeypatch):
+    @staticmethod
+    def no_capture_time_solve(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the capture-time check ran a solve")
+
         monkeypatch.setattr(verify_module, "DEFAULT_WORK_BUDGET", 10)
+        monkeypatch.setattr(verify_module, "solve", refuse)
+
+    def test_work_budget_settled_by_domination(self, monkeypatch):
+        # C_12: k = t-2 = 10 < n, and 4 vertices dominate it, so the optimum is 2 without a solve
+        self.no_capture_time_solve(monkeypatch)
         report = verify_theorem_bound(cycle_graph(12))
+        assert report.solver_capture_moves == 2
+        assert report.solver_skip_reason is None
+        assert report.check_time_consistency is True
+        assert report.passed
+
+    def test_work_budget_skips_without_domination(self, monkeypatch):
+        # K_4 with a pendant on each vertex: t = 5 and k = 3, but its domination number is 4,
+        # so the optimum (3) is past what domination decides and the check stays skipped
+        g = Graph.from_edges(8, [*combinations(range(4), 2), *((v, v + 4) for v in range(4))])
+        assert (longest_induced_path_order(g)[0], solve(g, 3)[1].optimal_capture_cop_moves) == (4, 3)
+        self.no_capture_time_solve(monkeypatch)
+        report = verify_theorem_bound(g)
         assert report.solver_capture_moves is None
         assert report.solver_skip_reason is not None
         assert report.check_time_consistency is None
         assert report.passed  # (a) and (b) still verified
+
+    def test_state_budget_skips_before_domination(self, monkeypatch):
+        # the state budget bounds the domination scan: past it, no scan is tried
+        def refuse(g, k):
+            raise AssertionError("domination was tried past the state budget")
+
+        self.no_capture_time_solve(monkeypatch)
+        monkeypatch.setattr(verify_module, "has_dominating_set", refuse)
+        g = cycle_graph(12)
+        report = verify_theorem_bound(g, state_budget=state_space_size(g.n, 10) - 1)
+        assert report.cop_number == 2  # the cop-number search stays within that budget
+        assert report.solver_capture_moves is None
+        assert report.solver_skip_reason is not None
+        assert report.check_time_consistency is None
+
+    def test_domination_agrees_with_the_solve(self, monkeypatch):
+        # Oracle: on every standard graph the gate admits, the report with every solve
+        # turned away by the work gate carries what the solve found, except P_1, where
+        # k = n and the one cop starts on the robber
+        settled = 0
+        for _, g in theorem_corpus():
+            k = max(longest_induced_path_order(g)[0] + 1, 3) - 2
+            if verify_module.over_work_budget(g, k) is not None:
+                continue
+            solved = verify_theorem_bound(g)
+            with monkeypatch.context() as patch:
+                patch.setattr(verify_module, "DEFAULT_WORK_BUDGET", 0)
+                gated = verify_theorem_bound(g)
+            if k >= g.n:
+                assert (gated.solver_capture_moves, solved.solver_capture_moves) == (None, 1)
+                continue
+            assert gated.solver_capture_moves == solved.solver_capture_moves
+            assert gated.check_time_consistency == solved.check_time_consistency
+            settled += 1
+        assert settled == 250
 
 
 class TestConjectureProbe:
